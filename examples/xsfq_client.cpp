@@ -2,8 +2,7 @@
 ///
 ///   xsfq_client [--socket=PATH | --tcp=HOST:PORT [--auth-token=SECRET]]
 ///               <circuit|file.bench|file.blif> [options]
-///   xsfq_client [connection flags] --status | --cache-stats | --stats |
-///               --shutdown
+///   xsfq_client [connection flags] --stats | --shutdown
 ///   xsfq_client --fleet=EP1,EP2,... [--replicas=R] <spec>... |
 ///               --route <spec>... | --stats
 ///
@@ -49,11 +48,11 @@
 ///
 /// Tracing (v6): --trace stamps the request with a random 16-byte trace id,
 /// fetches the daemon's collected span tree after the result arrives, and
-/// prints a per-stage waterfall to stderr — queue wait, runner queue, cache
-/// probes, each flow stage, and the end-to-end request_total — so "where
-/// did my milliseconds go?" is answerable per request.  stdout stays
-/// byte-identical to xsfq_synth.  --log-level=LEVEL gates the structured
-/// retry/reconnect log lines (default info).
+/// prints a per-stage waterfall to stderr — queue wait, cache probes, each
+/// flow stage, and the end-to-end request_total — so "where did my
+/// milliseconds go?" is answerable per request.  stdout stays byte-identical
+/// to xsfq_synth.  --log-level=LEVEL gates the structured retry/reconnect
+/// log lines (default info).
 ///
 /// Fleet mode (v7): --fleet=EP1,EP2,... replaces the single connection with
 /// serve::fleet_client — consistent-hash routing by content hash across the
@@ -91,19 +90,6 @@
 using namespace xsfq;
 
 namespace {
-
-void print_cache_stats(const serve::cache_stats_reply& reply) {
-  const auto& s = reply.stats;
-  std::cout << "full_hits=" << s.full_hits << " full_misses=" << s.full_misses
-            << " opt_hits=" << s.opt_hits << " opt_misses=" << s.opt_misses
-            << " disk_hits=" << s.disk_hits
-            << " disk_misses=" << s.disk_misses
-            << " disk_writes=" << s.disk_writes
-            << " disk_quarantined=" << s.disk_quarantined << " disk_dir="
-            << (reply.disk_directory.empty() ? "(disabled)"
-                                             : reply.disk_directory)
-            << "\n";
-}
 
 /// The --trace waterfall: one line per span, time-offset and duration in
 /// ms, with a bar scaled against the request_total span.  Goes to stderr so
@@ -180,8 +166,7 @@ int main(int argc, char** argv) {
   bool want_trace = false;    // --trace: stamp an id, print the waterfall
   std::string fleet_spec;     // --fleet=EP1,EP2,... → fleet_client path
   std::size_t fleet_replicas = 2;  // --replicas: placement fan-out
-  enum class action { synth, status, cache_stats, server_stats, shutdown,
-                      route };
+  enum class action { synth, server_stats, shutdown, route };
   action act = action::synth;
 
   for (int i = 1; i < argc; ++i) {
@@ -274,10 +259,6 @@ int main(int argc, char** argv) {
       edit_full = true;
     } else if (arg == "--no-supersede") {
       supersede = false;
-    } else if (arg == "--status") {
-      act = action::status;
-    } else if (arg == "--cache-stats") {
-      act = action::cache_stats;
     } else if (arg == "--stats") {
       act = action::server_stats;
     } else if (arg == "--shutdown") {
@@ -294,8 +275,8 @@ int main(int argc, char** argv) {
     std::cerr << "usage: xsfq_client [--socket=PATH | --tcp=HOST:PORT "
                  "[--auth-token=SECRET]] <circuit|file.bench|file.blif> "
                  "[options] [--edit=FILE [--edit-full] [--no-supersede]]\n"
-                 "       xsfq_client [connection flags] --status | "
-                 "--cache-stats | --stats | --shutdown\n"
+                 "       xsfq_client [connection flags] --stats | "
+                 "--shutdown\n"
                  "       xsfq_client --fleet=EP1,EP2,... [--replicas=R] "
                  "<spec>... | --route <spec>... | --stats\n";
     return 2;
@@ -308,8 +289,7 @@ int main(int argc, char** argv) {
     std::cerr << "--route requires --fleet=EP1,EP2,...\n";
     return 2;
   }
-  if (fleet_mode && (act == action::status || act == action::cache_stats ||
-                     act == action::shutdown)) {
+  if (fleet_mode && act == action::shutdown) {
     std::cerr << "--fleet supports synthesis, --route, and --stats only\n";
     return 2;
   }
@@ -486,35 +466,16 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(rcli->reconnects()));
       }
     };
-    switch (act) {
-      case action::status: {
-        const auto s = rcli ? rcli->status() : make_client()->status();
-        std::cout << "jobs_submitted=" << s.jobs_submitted
-                  << " jobs_completed=" << s.jobs_completed
-                  << " jobs_failed=" << s.jobs_failed
-                  << " active_connections=" << s.active_connections
-                  << " worker_threads=" << s.worker_threads
-                  << " steals=" << s.steals << " uptime_s=" << s.uptime_s
-                  << "\n";
-        report_attempts();
-        return 0;
-      }
-      case action::cache_stats:
-        print_cache_stats(rcli ? rcli->cache_stats()
-                               : make_client()->cache_stats());
-        report_attempts();
-        return 0;
-      case action::server_stats:
-        std::cout << serve::format_server_stats_text(
-            rcli ? rcli->server_stats() : make_client()->server_stats());
-        report_attempts();
-        return 0;
-      case action::shutdown:
-        make_client()->shutdown_server();
-        std::cout << "daemon acknowledged shutdown\n";
-        return 0;
-      case action::synth:
-        break;
+    if (act == action::server_stats) {
+      std::cout << serve::format_server_stats_text(
+          rcli ? rcli->server_stats() : make_client()->server_stats());
+      report_attempts();
+      return 0;
+    }
+    if (act == action::shutdown) {
+      make_client()->shutdown_server();
+      std::cout << "daemon acknowledged shutdown\n";
+      return 0;
     }
 
     serve::synth_request req = serve::make_request_for_spec(specs.front());

@@ -42,8 +42,10 @@
 /// requests finish and receive their responses, disk-cache writes land
 /// atomically, and the process exits 0.  docs/operations.md covers
 /// deployment, sizing, and failure modes.
+#include <malloc.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -193,6 +195,26 @@ int main(int argc, char** argv) {
     std::cerr << "xsfq_served: " << e.what() << "\n";
     return 2;
   }
+
+#ifdef M_ARENA_MAX
+  // glibc gives each allocating thread its own malloc arena, up to eight
+  // per core, and an arena keeps the memory freed into it.  Requests run
+  // on their connection's handler thread, so by default the result caches'
+  // churn spreads over one arena per connection and the daemon's peak RSS
+  // grows with the connection count.  Size the arenas by the threads that
+  // allocate at once instead: each execution slot, one handler doing I/O
+  // beside it, and the main and accept threads.
+  {
+    const std::size_t workers =
+        options.threads != 0
+            ? options.threads
+            : std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t slots =
+        options.max_inflight != 0 ? options.max_inflight : workers;
+    mallopt(M_ARENA_MAX, static_cast<int>(std::min<std::size_t>(
+                             2 * slots + 2, 1024)));
+  }
+#endif
 
   // Signals are consumed synchronously below; block them before any thread
   // exists so every server/worker thread inherits the mask.  SIGUSR1 joins

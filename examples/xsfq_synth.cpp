@@ -42,7 +42,7 @@
 #include <atomic>
 #include <csignal>
 #include <filesystem>
-#include <future>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -105,32 +105,32 @@ int run_corpus(const cli_options& cli) {
   // the stragglers at the tail of a skewed suite.
   options.opt.flow_jobs = std::max(1u, cli.synth.flow_jobs);
 
-  // One enqueue per file: the corpus multiplexes onto the work-stealing
-  // pool exactly like concurrent service clients do.  Parsing happens
-  // inside the job, so a malformed file fails its own entry (and parsing
-  // parallelizes) instead of aborting the whole run.  Each job checks the
-  // signal flag on entry, so a SIGINT drains in-flight work and skips the
-  // rest instead of aborting mid-write.
-  std::vector<std::future<flow::flow_result>> futures;
-  futures.reserve(files.size());
+  // One batch job per file on the work-stealing pool, results in input
+  // order.  Parsing happens inside the job, so a malformed file fails its
+  // own entry (and parsing parallelizes) instead of aborting the whole run.
+  // Each job checks the signal flag on entry, so a SIGINT drains in-flight
+  // work and skips the rest instead of aborting mid-write.
+  std::vector<std::function<flow::flow_result()>> jobs;
+  jobs.reserve(files.size());
   for (const auto& file : files) {
-    futures.push_back(runner.enqueue_job([&runner, file, options] {
+    jobs.push_back([&runner, file, options] {
       if (g_signal != 0) {
         throw std::runtime_error("skipped: interrupted before start");
       }
       const serve::synth_request req = serve::make_request_for_spec(file);
       return runner.run_cached(serve::load_request_circuit(req), file,
                                options);
-    }));
+    });
   }
+  const flow::batch_report report = runner.run_jobs(files, std::move(jobs));
 
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::size_t skipped = 0;
   std::cout << "circuit,gates,jj,savings,ms\n";
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    try {
-      const flow::flow_result r = futures[i].get();
+  for (const flow::batch_entry& e : report.entries) {
+    if (e.ok) {
+      const flow::flow_result& r = e.result;
       const double savings =
           r.mapped.stats.jj > 0
               ? static_cast<double>(r.baseline.jj_without_clock) /
@@ -140,14 +140,11 @@ int run_corpus(const cli_options& cli) {
                 << r.mapped.stats.jj << "," << savings << "," << r.total_ms
                 << "\n";
       ++completed;
-    } catch (const std::exception& e) {
-      const std::string what = e.what();
-      if (what.rfind("skipped:", 0) == 0) {
-        ++skipped;
-      } else {
-        std::cout << files[i] << ",error," << what << "\n";
-        ++failed;
-      }
+    } else if (e.error.rfind("skipped:", 0) == 0) {
+      ++skipped;
+    } else {
+      std::cout << e.name << ",error," << e.error << "\n";
+      ++failed;
     }
   }
   std::cout << "corpus: " << completed << " completed, " << failed
@@ -233,15 +230,15 @@ int main(int argc, char** argv) {
     if (!cli.corpus_dir.empty()) return run_corpus(cli);
 
     // The CLI is literally the served flow: the same synth_request driver
-    // the daemon runs, on a process-local single-worker runner, rendered by
-    // the same response printer xsfq_client uses.
+    // the daemon runs, here on the main thread against a process-local
+    // runner, rendered by the same response printer xsfq_client uses.
     serve::synth_request req = serve::make_request_for_spec(cli.spec);
     serve::apply_cli_options(cli.synth, req);
 
-    // One worker runs the flow; extra workers only exist to serve the
-    // partitioned optimize's subtasks when --flow-jobs asks for them.
-    // Capped at the hardware: surplus workers on a small machine would just
-    // timeshare the cores the partitions already occupy.
+    // The flow runs on this thread; the workers serve the partitioned
+    // optimize's subtasks when --flow-jobs asks for them.  Capped at the
+    // hardware: surplus workers on a small machine would just timeshare the
+    // cores the partitions already occupy.
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     flow::batch_runner runner(std::max(1u, std::min(cli.synth.flow_jobs, hw)));
     if (!cli.cache_dir.empty()) runner.set_disk_cache(cli.cache_dir);

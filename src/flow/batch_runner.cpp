@@ -107,8 +107,8 @@ struct batch_runner::impl {
   std::atomic<std::uint64_t> steal_count{0};
   bool shutting_down = false;
   std::vector<std::thread> workers;
-  /// Round-robin cursor; atomic because enqueue() submits from arbitrary
-  /// threads concurrently (batch run() still submits from one thread).
+  /// Round-robin cursor; atomic because run_subtasks() submits from
+  /// arbitrary threads concurrently (batch run() still submits from one).
   std::atomic<std::size_t> next_queue{0};
 
   bool try_pop(std::size_t self, std::function<void()>& job) {
@@ -344,16 +344,22 @@ struct batch_runner::impl {
   }
 
   void retain_network(std::uint64_t content_hash, const aig& network) {
-    auto copy = std::make_shared<const aig>(network);  // outside the lock
+    {
+      std::lock_guard<std::mutex> lock(cache_mutex);
+      const auto it = retained.find(content_hash);
+      if (it != retained.end()) {
+        // Already retained: just touch (refresh the LRU position).
+        retained_lru.splice(retained_lru.begin(), retained_lru,
+                            it->second.lru_pos);
+        return;
+      }
+    }
+    // First sighting: deep-copy outside the lock, then insert unless a
+    // concurrent request for the same circuit got there first.
+    auto copy = std::make_shared<const aig>(network);
     const std::size_t bytes = copy->memory_bytes();
     std::lock_guard<std::mutex> lock(cache_mutex);
-    const auto it = retained.find(content_hash);
-    if (it != retained.end()) {
-      // Already retained: just touch (refresh the LRU position).
-      retained_lru.splice(retained_lru.begin(), retained_lru,
-                          it->second.lru_pos);
-      return;
-    }
+    if (retained.count(content_hash) != 0) return;
     retained_lru.push_front(content_hash);
     retained.emplace(content_hash,
                      retained_entry{std::move(copy), bytes,
@@ -482,8 +488,8 @@ struct batch_runner::impl {
 
   /// Outcome of the shared-ownership core: the (immutable) cache entry plus
   /// whether it was served from a cache tier.  Hits hand back the stored
-  /// entry itself — zero copies; the by-value wrappers copy, the serving
-  /// delta path (latency-critical) reads through the pointer.
+  /// entry itself — zero copies; the by-value wrappers copy, the daemon
+  /// (latency-critical) reads through the pointer.
   struct cached_outcome {
     std::shared_ptr<const flow_result> entry;
     bool hit = false;
@@ -637,8 +643,8 @@ struct batch_runner::impl {
 
   /// Serving entry point: an already-built network (parsed from a request
   /// payload or a corpus file) with optional per-stage progress streaming.
-  /// Shared-ownership return — the serving delta path renders straight out
-  /// of the cache entry, so hit and miss alike move zero flow_results.
+  /// Shared-ownership return — the daemon renders straight out of the cache
+  /// entry, so hit and miss alike move zero flow_results.
   std::shared_ptr<const flow_result> run_cached_network_shared(
       aig network, const std::string& name,
       const flow_options& caller_options, const stage_observer& observer) {
@@ -683,14 +689,8 @@ struct batch_runner::impl {
   flow_result run_uncached_network(aig network, const std::string& name,
                                    const flow_options& caller_options,
                                    const stage_observer& observer) {
-    flow_options options = caller_options;
+    flow_options options = with_pool_executor(caller_options);
     options.opt.regions = nullptr;
-    if (options.opt.flow_jobs > 1 && !options.opt.executor) {
-      options.opt.executor =
-          [this](std::vector<std::function<void()>>&& tasks) {
-            run_subtasks(std::move(tasks));
-          };
-    }
     flow f("synthesis");
     f.add_stage(stages::preset(std::move(network), name));
     f.add_stages(make_synthesis_flow(options));
@@ -731,10 +731,6 @@ std::uint64_t batch_runner::steals() const {
 
 std::size_t batch_runner::queue_depth() const {
   return impl_->queued.load(std::memory_order_relaxed);
-}
-
-std::size_t batch_runner::jobs_in_flight() const {
-  return impl_->in_flight.load(std::memory_order_relaxed);
 }
 
 void batch_runner::set_cache_enabled(bool enabled) {
@@ -857,30 +853,6 @@ std::string batch_runner::disk_cache_directory() const {
   return impl_->disk ? impl_->disk->directory() : std::string{};
 }
 
-std::future<flow_result> batch_runner::enqueue(aig network, std::string name,
-                                               flow_options options,
-                                               stage_observer observer) {
-  // Capture the submitting thread's trace context: the job body runs on a
-  // pool worker, and its spans (flow stages, cache lookups) must attribute
-  // to the originating request.  The runner_queue span covers the time the
-  // job sat in a worker deque before a thread picked it up.
-  const trace::trace_id tid = trace::current();
-  const std::uint64_t enqueued_us = trace::now_us();
-  auto task = std::make_shared<std::packaged_task<flow_result()>>(
-      [this, tid, enqueued_us, network = std::move(network),
-       name = std::move(name), options = std::move(options),
-       observer = std::move(observer)]() mutable {
-        trace::context_scope tscope(tid);
-        trace::record("runner_queue", enqueued_us,
-                      trace::now_us() - enqueued_us);
-        return impl_->run_cached_network(std::move(network), name, options,
-                                         observer);
-      });
-  std::future<flow_result> future = task->get_future();
-  impl_->submit([task] { (*task)(); });
-  return future;
-}
-
 flow_result batch_runner::run_cached(aig network, const std::string& name,
                                      const flow_options& options,
                                      const stage_observer& observer) {
@@ -904,28 +876,6 @@ flow_result batch_runner::run_uncached(aig network, const std::string& name,
 
 void batch_runner::run_subtasks(std::vector<std::function<void()>> tasks) {
   impl_->run_subtasks(std::move(tasks));
-}
-
-subtask_runner batch_runner::make_subtask_runner() {
-  return [this](std::vector<std::function<void()>>&& tasks) {
-    impl_->run_subtasks(std::move(tasks));
-  };
-}
-
-std::future<flow_result> batch_runner::enqueue_job(
-    std::function<flow_result()> job) {
-  const trace::trace_id tid = trace::current();
-  const std::uint64_t enqueued_us = trace::now_us();
-  auto task = std::make_shared<std::packaged_task<flow_result()>>(
-      [tid, enqueued_us, job = std::move(job)]() mutable {
-        trace::context_scope tscope(tid);
-        trace::record("runner_queue", enqueued_us,
-                      trace::now_us() - enqueued_us);
-        return job();
-      });
-  std::future<flow_result> future = task->get_future();
-  impl_->submit([task] { (*task)(); });
-  return future;
 }
 
 void batch_runner::clear_cache() {
@@ -1009,18 +959,6 @@ batch_report batch_runner::run(
                     options = per_entry_options[i]] {
       return impl_->run_cached_flow(name, options);
     });
-  }
-  return run_jobs(benchmark_names, std::move(jobs));
-}
-
-batch_report batch_runner::run(
-    const std::vector<std::string>& benchmark_names,
-    const std::function<flow(const std::string&)>& make_flow) {
-  std::vector<std::function<flow_result()>> jobs;
-  jobs.reserve(benchmark_names.size());
-  for (const auto& name : benchmark_names) {
-    flow f = make_flow(name);
-    jobs.push_back([f = std::move(f)] { return f.run(); });
   }
   return run_jobs(benchmark_names, std::move(jobs));
 }

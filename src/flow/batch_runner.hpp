@@ -17,14 +17,19 @@
 /// by (circuit content hash, flow-options fingerprint): re-running a suite
 /// entry under identical options returns the cached flow_result, and
 /// re-running the same circuit under different *mapping* options still
-/// reuses the cached optimized network (the expensive stage).  This is the
-/// single parallel engine behind every table-reproduction binary and the
-/// intended entry point for future serving workloads.
+/// reuses the cached optimized network (the expensive stage).
+///
+/// The runner has three ways in: a batch (run / run_jobs, entries on the
+/// pool, results in input order), a single cached or uncached flow on the
+/// calling thread (run_cached_shared and friends — the daemon's handler
+/// threads call these, sharing every cache tier, so a warm hit is answered
+/// from the shared cache entry without a pool handoff or a copy), and
+/// run_subtasks, through which the pool serves a partitioned optimize's
+/// regions for whichever thread runs the flow.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -105,11 +110,9 @@ struct batch_cache_stats {
 /// threads, their deques, and the result cache persist across run() calls.
 /// One batch at a time: run() and run_jobs() must not be called concurrently
 /// from multiple threads on the same runner (in-flight accounting and
-/// wall-clock timing are per-runner, not per-call).  A serving front end
-/// instead multiplexes through enqueue(), which is safe from any number of
-/// threads simultaneously and shares the worker pool and every cache tier
-/// with the batch entry points (mixing enqueue() with a concurrent run()
-/// works, but the batch's wall-clock then includes the service jobs).
+/// wall-clock timing are per-runner, not per-call).  The single-flow entry
+/// points (run_cached, run_cached_shared, run_uncached) are safe from any
+/// number of threads at once, also beside a batch.
 class batch_runner {
  public:
   /// \param num_threads worker count; 0 picks hardware_concurrency (min 1).
@@ -125,13 +128,10 @@ class batch_runner {
   /// never changes output bytes.
   std::uint64_t steals() const;
 
-  /// Jobs sitting in some worker deque right now, not yet claimed.  A
-  /// point-in-time gauge for serving metrics; racy by nature, never used
-  /// for control decisions.
+  /// Jobs sitting in some worker deque right now, not yet claimed: batch
+  /// entries and queued run_subtasks helpers.  A point-in-time gauge for
+  /// serving metrics; racy by nature, never used for control decisions.
   std::size_t queue_depth() const;
-
-  /// Jobs queued or currently executing (queue_depth() plus running jobs).
-  std::size_t jobs_in_flight() const;
 
   /// Runs the canned paper flow (generate -> optimize -> map -> baseline)
   /// over every named benchmark, consulting the result cache per entry.
@@ -144,45 +144,26 @@ class batch_runner {
   batch_report run(const std::vector<std::string>& benchmark_names,
                    const std::vector<flow_options>& per_entry_options);
 
-  /// Runs an arbitrary per-name flow factory: `make_flow(name)` is called on
-  /// the submitting thread, the returned flow executes on a worker.  Opaque
-  /// flows bypass the result cache.
-  batch_report run(const std::vector<std::string>& benchmark_names,
-                   const std::function<flow(const std::string&)>& make_flow);
-
   /// Fully generic: one job per entry, executed on the pool, results in
   /// input order.  Bypasses the result cache.
   batch_report run_jobs(std::vector<std::string> names,
                         std::vector<std::function<flow_result()>> jobs);
 
-  /// Submits ONE canned-flow job for an already-built network and returns
-  /// immediately; the flow runs on the worker pool with every cache tier
-  /// applied (memory, in-flight optimize dedup, disk).  Unlike the batch
-  /// run() entry points this is safe to call concurrently from any number
-  /// of threads — it is the serving front end's multiplexing primitive.
-  /// The observer (optional) streams per-stage progress from the executing
-  /// worker; cache hits replay the cached timings with from_cache=true.
-  std::future<flow_result> enqueue(aig network, std::string name,
-                                   flow_options options,
-                                   stage_observer observer = {});
-
-  /// Same submission path for an arbitrary job (bypasses the result cache).
-  std::future<flow_result> enqueue_job(std::function<flow_result()> job);
-
-  /// The cached canned flow executed inline on the *calling* thread (all
-  /// cache tiers applied).  For callers that already sit on a pool worker —
-  /// e.g. an enqueue_job() job that wants cache semantics after its own
-  /// preamble — where a nested enqueue().get() could self-deadlock.
+  /// The cached canned flow for an already-built network, executed on the
+  /// calling thread with every cache tier applied (memory, in-flight
+  /// optimize dedup, disk).  The observer (optional) streams per-stage
+  /// progress; cache hits replay the cached timings with from_cache=true.
+  /// Pool workers may call it from inside a run_jobs job.
   flow_result run_cached(aig network, const std::string& name,
                          const flow_options& options,
                          const stage_observer& observer = {});
 
   /// run_cached without the by-value copies: returns the immutable cache
-  /// entry itself (hit or freshly stored miss alike).  The serving delta
-  /// path renders its response straight out of the entry, so a sub-ms ECO
-  /// pays zero flow_result copies; a cache-disabled runner still computes
-  /// and wraps a fresh result.  Cached timings are replayed through the
-  /// observer with from_cache=true exactly as run_cached does.
+  /// entry itself (hit or freshly stored miss alike).  The daemon renders
+  /// its response straight out of the entry, so a warm hit pays zero
+  /// flow_result copies; a cache-disabled runner still computes and wraps a
+  /// fresh result.  Cached timings are replayed through the observer with
+  /// from_cache=true exactly as run_cached does.
   std::shared_ptr<const flow_result> run_cached_shared(
       aig network, const std::string& name, const flow_options& options,
       const stage_observer& observer = {});
@@ -197,11 +178,11 @@ class batch_runner {
 
   // ----- ECO surface (serve/synth_service delta requests) -------------------
 
-  /// The network most recently served under `content_hash` through the
-  /// serving entry points (enqueue / run_cached), or nullptr when it was
-  /// never seen or has been evicted (byte-budgeted LRU; a hit refreshes the
-  /// entry).  Delta requests replay their edit script onto this retained
-  /// base instead of re-parsing it.
+  /// The network most recently served under `content_hash` through
+  /// run_cached / run_cached_shared, or nullptr when it was never seen or
+  /// has been evicted (byte-budgeted LRU; a hit refreshes the entry).  Delta
+  /// requests replay their edit script onto this retained base instead of
+  /// re-parsing it.
   std::shared_ptr<const aig> retained_network(std::uint64_t content_hash) const;
 
   /// v7: byte budget of the retained-network tier (default 256 MiB),
@@ -239,13 +220,9 @@ class batch_runner {
   /// so progress is guaranteed even when every worker is busy (a pool worker
   /// may call this re-entrantly — that is exactly the intra-flow parallelism
   /// path).  Closures must not throw; callers capture errors themselves.
+  /// The cached flow entry points install it as the optimize executor
+  /// whenever flow_options asks for opt.flow_jobs > 1 without one.
   void run_subtasks(std::vector<std::function<void()>> tasks);
-
-  /// run_subtasks as an optimize_params::executor.  The runner must outlive
-  /// any flow using the returned function; the cached flow entry points
-  /// install it automatically whenever flow_options asks for
-  /// opt.flow_jobs > 1 without supplying an executor.
-  subtask_runner make_subtask_runner();
 
   /// The cross-run result cache is on by default; disabling it also clears
   /// nothing (re-enable to keep using prior entries).

@@ -116,13 +116,13 @@ stage optimize(optimize_params params) {
 
 stage pass(std::string pass_name) {
   return {pass_name, [pass_name](flow_context& ctx) {
-            // The per-thread engine persists across stages and entries, so
-            // this stage's work is the counter delta, not the lifetime total.
-            opt_engine& engine = opt_engine::thread_local_engine();
-            const opt_counters before = engine.counters();
-            ctx.network = engine.run_pass(ctx.network, pass_name);
+            // Pooled engines persist across stages and entries, so this
+            // stage's work is the counter delta, not the lifetime total.
+            const opt_engine::lease engine;
+            const opt_counters before = engine->counters();
+            ctx.network = engine->run_pass(ctx.network, pass_name);
             apply_opt_counters(ctx.counters,
-                               engine.counters().delta_since(before));
+                               engine->counters().delta_since(before));
           }};
 }
 

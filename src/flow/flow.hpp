@@ -81,7 +81,7 @@ struct stage_event {
 
 /// Called after every completed stage; empty observers are skipped.  The
 /// observer runs on whichever thread executes the flow (a batch_runner
-/// worker, under enqueue()), so it must be safe to call off the submitting
+/// worker inside a batch), so it must be safe to call off the submitting
 /// thread.  Observer exceptions propagate and fail the flow.
 using stage_observer = std::function<void(const stage_event&)>;
 

@@ -5,7 +5,8 @@
 namespace xsfq {
 
 aig balance(const aig& network) {
-  return opt_engine::thread_local_engine().balance(network);
+  const opt_engine::lease engine;
+  return engine->balance(network);
 }
 
 }  // namespace xsfq

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <mutex>
 #include <stdexcept>
 
 #include "opt/rewrite_library.hpp"
@@ -191,11 +192,41 @@ void collect_conjuncts(const aig& network, aig::node_index n,
   }
 }
 
+/// Engines no lease holds right now, kept warm for the next one.  Never
+/// destroyed: a thread-held lease may end during static destruction.
+struct idle_engines {
+  std::mutex mutex;
+  std::vector<std::unique_ptr<opt_engine>> engines;
+};
+
+idle_engines& idle() {
+  static idle_engines* pool = new idle_engines;
+  return *pool;
+}
+
 }  // namespace
 
+opt_engine::lease::lease() {
+  idle_engines& pool = idle();
+  {
+    std::lock_guard<std::mutex> lock(pool.mutex);
+    if (!pool.engines.empty()) {
+      engine_ = std::move(pool.engines.back());
+      pool.engines.pop_back();
+    }
+  }
+  if (!engine_) engine_ = std::make_unique<opt_engine>();
+}
+
+opt_engine::lease::~lease() {
+  idle_engines& pool = idle();
+  std::lock_guard<std::mutex> lock(pool.mutex);
+  pool.engines.push_back(std::move(engine_));
+}
+
 opt_engine& opt_engine::thread_local_engine() {
-  static thread_local opt_engine engine;
-  return engine;
+  static thread_local lease held;
+  return *held;
 }
 
 const aig_structure* opt_engine::library_candidate(

@@ -5,7 +5,7 @@
 /// balance/rewrite/refactor pass.
 ///
 /// The free functions in balance.hpp / cut_rewriting.hpp / script.hpp all run
-/// on a per-thread engine (`thread_local_engine`), and `optimize` keeps that
+/// on a pooled engine (`opt_engine::lease`), and `optimize` keeps that
 /// engine across all passes of all rounds.  That is the allocation-free
 /// steady state: the cut arena, MFFC scratch, destination-map and leaf
 /// buffers, the probe scratch, *and the pass destination networks themselves*
@@ -43,10 +43,30 @@ class opt_engine {
 public:
   opt_engine() = default;
 
-  /// The calling thread's engine: arenas, scratch, and resynthesis caches
-  /// persist for the thread's lifetime, so a worker that optimizes a whole
-  /// suite reuses one set of buffers (sized by its largest circuit) across
-  /// every entry.  Engine state never changes results — only allocations.
+  /// Exclusive use of one engine for the lease's lifetime.  Engines come
+  /// from a process-wide idle pool and go back to it warm — arenas,
+  /// scratch, and resynthesis caches sized by the largest circuit they have
+  /// seen — so the number of engines is the peak number of optimizations
+  /// running at once, whichever threads run them.  A daemon that runs each
+  /// request on its connection's thread therefore keeps as many warm
+  /// engines as it runs flows concurrently, not one per connection.  The
+  /// free functions (optimize, balance, rewrite, ...) each hold a lease for
+  /// the call.  Engine state never changes results — only allocations.
+  class lease {
+   public:
+    lease();
+    ~lease();
+    lease(const lease&) = delete;
+    lease& operator=(const lease&) = delete;
+    opt_engine& operator*() const { return *engine_; }
+    opt_engine* operator->() const { return engine_.get(); }
+
+   private:
+    std::unique_ptr<opt_engine> engine_;
+  };
+
+  /// An engine the calling thread leases until it exits, for callers that
+  /// drive one engine directly across many calls.
   static opt_engine& thread_local_engine();
 
   /// Depth balancing (see balance.hpp).
@@ -69,7 +89,7 @@ public:
                optimize_stats* stats = nullptr);
 
   /// Counters accumulated across every pass run on this engine.  With a
-  /// long-lived (per-thread) engine these are lifetime totals; per-call work
+  /// long-lived (pooled) engine these are lifetime totals; per-call work
   /// is the delta (opt_counters::delta_since), which is what optimize() and
   /// the flow stages report.
   [[nodiscard]] const opt_counters& counters() const { return counters_; }

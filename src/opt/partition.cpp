@@ -101,7 +101,8 @@ aig optimize_partitioned(const aig& network, const optimize_params& params,
                 : effective_partition_count(num_gates, params.flow_jobs);
   if (P <= 1) {
     if (info) *info = {1, 0, 0, 0};
-    return opt_engine::thread_local_engine().optimize(network, params, stats);
+    const opt_engine::lease engine;
+    return engine->optimize(network, params, stats);
   }
 
   // ----- plan: contiguous topological regions over the gate array ----------

@@ -26,14 +26,15 @@ aig optimize(const aig& network, const optimize_params& params,
   if (params.flow_jobs > 1 || params.partition_grain > 0) {
     return optimize_partitioned(network, params, stats);
   }
-  // The calling thread's engine: every balance/rewrite/refactor round of
-  // every call reuses the same cut arena, network arena, MFFC scratch, and
-  // resynthesis caches.
-  return opt_engine::thread_local_engine().optimize(network, params, stats);
+  // A warm pooled engine: every balance/rewrite/refactor round reuses the
+  // same cut arena, network arena, MFFC scratch, and resynthesis caches.
+  const opt_engine::lease engine;
+  return engine->optimize(network, params, stats);
 }
 
 aig run_pass(const aig& network, const std::string& pass) {
-  return opt_engine::thread_local_engine().run_pass(network, pass);
+  const opt_engine::lease engine;
+  return engine->run_pass(network, pass);
 }
 
 }  // namespace xsfq

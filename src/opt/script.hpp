@@ -98,7 +98,7 @@ struct optimize_stats {
 
 /// Runs rounds of (balance; rewrite; refactor; balance; rewrite) until the
 /// gate count stops improving.  Functional equivalence is preserved by
-/// construction; tests double-check with simulation.  The per-thread engine
+/// construction; tests double-check with simulation.  The pooled engine
 /// (its double-buffered network arena, cut arena, and resynthesis caches) is
 /// recycled across every pass of every round *and* across calls, so the
 /// steady state allocates nothing per node, cut, or candidate.  With

@@ -18,14 +18,8 @@ namespace xsfq::serve {
 
 namespace {
 
-/// Maps a received error frame to the exception the caller should see,
-/// honoring the frame's announced version: a pre-v3 daemon sends the legacy
-/// bare-string payload, which degrades to service_error{generic}.
+/// Maps a received error frame to the exception the caller should see.
 [[noreturn]] void throw_error_frame(const frame& f) {
-  if (f.version < 3) {
-    throw service_error(error_code::generic,
-                        "daemon error: " + decode_legacy_error(f.payload));
-  }
   const error_reply err = decode_error(f.payload);
   throw service_error(err.code, "daemon error: " + err.message,
                       err.retry_after_ms);
@@ -181,17 +175,6 @@ trace_reply client::trace(const trace_request& req) {
   const frame f = roundtrip(msg_type::trace, encode_trace_request(req),
                             msg_type::trace_ok);
   return decode_trace_reply(f.payload);
-}
-
-server_status client::status() {
-  const frame f = roundtrip(msg_type::status, {}, msg_type::status_ok);
-  return decode_server_status(f.payload);
-}
-
-cache_stats_reply client::cache_stats() {
-  const frame f =
-      roundtrip(msg_type::cache_stats, {}, msg_type::cache_stats_ok);
-  return decode_cache_stats(f.payload);
 }
 
 server_stats_reply client::server_stats() {

@@ -11,9 +11,7 @@
 /// synth_response{ok=false}; a typed protocol-level rejection (auth
 /// required/failed, overloaded, deadline_expired, unsupported_version, ...)
 /// throws `service_error` carrying its error_code; transport and framing
-/// failures throw plain `protocol_error`.  An error frame from a pre-v3
-/// daemon (bare-string payload, announced by its header version) is decoded
-/// at that version and surfaces as service_error{generic}.
+/// failures throw plain `protocol_error`.
 ///
 /// Not thread-safe: one client is one ordered request/response stream; use
 /// one client per thread.
@@ -81,10 +79,8 @@ class client {
   /// unknown or already-evicted id returns an empty span list, not an error.
   trace_reply trace(const trace_request& req);
 
-  server_status status();
-  cache_stats_reply cache_stats();
-  /// The full v3 metrics scrape (admission counters, cache tiers, latency
-  /// histograms).
+  /// The v3 metrics scrape (job gauges, cache tiers, admission counters,
+  /// latency histograms): the one stats request.
   server_stats_reply server_stats();
   /// Asks the daemon to drain and exit; returns once it acknowledged.
   void shutdown_server();

@@ -88,8 +88,8 @@ std::optional<frame> read_frame(const read_fn& read) {
   const std::uint8_t type = hr.u8();
   // The header layout is frozen across versions, so any *plausible* version
   // byte parses structurally and the caller applies its version policy (the
-  // server answers a mismatched peer with a typed error at the peer's
-  // version).  0 and far-future values are how random garbage usually looks.
+  // server answers a mismatched peer with a typed unsupported_version
+  // error).  0 and far-future values are how random garbage usually looks.
   if (version == 0 || version > protocol_version + 4) {
     throw protocol_error("implausible protocol version byte " +
                          std::to_string(version));
@@ -347,74 +347,6 @@ synth_response decode_synth_response(std::span<const std::uint8_t> payload) {
   resp.content_hash = r.u64();
   r.expect_done();
   return resp;
-}
-
-std::vector<std::uint8_t> encode_server_status(const server_status& status) {
-  byte_writer w;
-  w.u64(status.jobs_submitted);
-  w.u64(status.jobs_completed);
-  w.u64(status.jobs_failed);
-  w.u64(status.active_connections);
-  w.u32(status.worker_threads);
-  w.u64(status.steals);
-  w.f64(status.uptime_s);
-  return w.take();
-}
-
-server_status decode_server_status(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  server_status status;
-  status.jobs_submitted = r.u64();
-  status.jobs_completed = r.u64();
-  status.jobs_failed = r.u64();
-  status.active_connections = r.u64();
-  status.worker_threads = r.u32();
-  status.steals = r.u64();
-  status.uptime_s = r.f64();
-  r.expect_done();
-  return status;
-}
-
-std::vector<std::uint8_t> encode_cache_stats(const cache_stats_reply& reply) {
-  byte_writer w;
-  w.u64(reply.stats.full_hits);
-  w.u64(reply.stats.full_misses);
-  w.u64(reply.stats.opt_hits);
-  w.u64(reply.stats.opt_misses);
-  w.u64(reply.stats.disk_hits);
-  w.u64(reply.stats.disk_misses);
-  w.u64(reply.stats.disk_writes);
-  w.u64(reply.stats.disk_quarantined);
-  w.u64(reply.stats.region_hits);
-  w.u64(reply.stats.region_misses);
-  w.u64(reply.stats.eco_patches);
-  w.u64(reply.stats.retained_networks);
-  w.u64(reply.stats.retained_evictions);       // v7
-  w.u64(reply.stats.disk_quarantine_pruned);   // v7
-  w.str(reply.disk_directory);
-  return w.take();
-}
-
-cache_stats_reply decode_cache_stats(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  cache_stats_reply reply;
-  reply.stats.full_hits = r.u64();
-  reply.stats.full_misses = r.u64();
-  reply.stats.opt_hits = r.u64();
-  reply.stats.opt_misses = r.u64();
-  reply.stats.disk_hits = r.u64();
-  reply.stats.disk_misses = r.u64();
-  reply.stats.disk_writes = r.u64();
-  reply.stats.disk_quarantined = r.u64();
-  reply.stats.region_hits = r.u64();
-  reply.stats.region_misses = r.u64();
-  reply.stats.eco_patches = r.u64();
-  reply.stats.retained_networks = r.u64();
-  reply.stats.retained_evictions = r.u64();      // v7
-  reply.stats.disk_quarantine_pruned = r.u64();  // v7
-  reply.disk_directory = r.str();
-  r.expect_done();
-  return reply;
 }
 
 std::vector<std::uint8_t> encode_hello_request(const hello_request& req) {
@@ -675,34 +607,6 @@ error_reply decode_error(std::span<const std::uint8_t> payload) {
   if (r.remaining() > 0) reply.retry_after_ms = r.u32();
   r.expect_done();
   return reply;
-}
-
-std::vector<std::uint8_t> encode_error_for_version(
-    std::uint8_t peer_version, error_code code, const std::string& message,
-    std::uint32_t retry_after_ms) {
-  if (peer_version < 3) return encode_legacy_error(message);
-  if (peer_version < 5) {
-    // v3/v4 layout: typed code + message, no trailing hint (their decoder
-    // calls expect_done() and would reject extra bytes).
-    byte_writer w;
-    w.u8(static_cast<std::uint8_t>(code));
-    w.str(message);
-    return w.take();
-  }
-  return encode_error(code, message, retry_after_ms);
-}
-
-std::vector<std::uint8_t> encode_legacy_error(const std::string& message) {
-  byte_writer w;
-  w.str(message);
-  return w.take();
-}
-
-std::string decode_legacy_error(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  std::string message = r.str();
-  r.expect_done();
-  return message;
 }
 
 bool constant_time_equal(const std::string& a, const std::string& b) {

@@ -9,11 +9,11 @@
 ///
 /// all little-endian (the codec in util/serialize.hpp).  The 6-byte header
 /// layout is FROZEN across protocol versions: any peer can read any frame's
-/// header, which is how a v3 daemon answers a v2 client with a typed error
-/// frame the v2 client can decode (encoded at the client's version) instead
-/// of both sides hanging or dying on a raw read.  Payload layouts are
-/// version-specific; a daemon only decodes payloads of its own version and
-/// rejects every other version at the frame level.
+/// header, which is how the daemon answers a client of another version with
+/// a typed `unsupported_version` error frame instead of both sides hanging
+/// or dying on a raw read.  Payload layouts are version-specific; a daemon
+/// only decodes payloads of its own version and rejects every other version
+/// at the frame level.
 ///
 /// A client sends one request frame and reads response frames until the
 /// terminal one: `submit` yields zero or more `progress` frames (when
@@ -29,8 +29,7 @@
 /// the daemon holds a token; compared in constant time), per-request
 /// `priority`/`deadline_ms` admission fields, structured `error` payloads
 /// carrying a typed `error_code`, and the `server_stats` metrics request
-/// (admission counters + latency histograms) generalizing v2's
-/// `cache_stats`.
+/// (admission counters + latency histograms).
 ///
 /// v4 adds incremental ECO resynthesis: the `synth_delta` request names a
 /// previously synthesized base circuit by content hash and ships a textual
@@ -39,8 +38,8 @@
 /// a from-scratch run of the edited circuit.  `synth_request` gains
 /// `partition_grain` (the fixed-grain region partitioning that makes edits
 /// cheap), `synth_response` gains `content_hash` (the served circuit's
-/// identity, which a later delta request names as its base), `cache_stats`
-/// gains the region/ECO tier counters, and the `unknown_base`/`bad_edit`
+/// identity, which a later delta request names as its base), the stats
+/// gain the region/ECO tier counters, and the `unknown_base`/`bad_edit`
 /// error codes type the two ECO-specific failures.
 ///
 /// v5 adds the failure/retry contract: the `io_timeout` error code (a peer
@@ -57,8 +56,11 @@
 /// stages, and the send path (util/trace.hpp), and the new `trace` request
 /// returns the completed span set for a given id so the client can print a
 /// per-stage waterfall.  `server_stats` gains the flight-recorder counters
-/// (`trace_spans_recorded`/`trace_spans_dropped`).  Replies to older peers
-/// are still encoded at THEIR version via encode_error_for_version.
+/// (`trace_spans_recorded`/`trace_spans_dropped`).
+///
+/// v8 retires `status` and `cache_stats` (both subsets of `server_stats`)
+/// and the pre-v5 error encodings: every error payload, including the
+/// version-mismatch reply, is encoded at the daemon's own version.
 /// docs/protocol.md is the normative reference; a test cross-checks its
 /// constant tables against this header.
 ///
@@ -92,30 +94,29 @@ namespace xsfq::serve {
 // recorder span counters in server_stats
 // v7: retained-tier LRU + quarantine-bound counters (retained_evictions,
 // disk_quarantine_pruned) in cache/server stats
+// v8: status/cache_stats messages and the legacy error encodings retired
 // (see docs/protocol.md for the full history).
-inline constexpr std::uint8_t protocol_version = 7;
+inline constexpr std::uint8_t protocol_version = 8;
 /// Upper bound on one frame's payload; a header announcing more is garbage
 /// (the largest legitimate payload is a synth_response with Verilog text).
 inline constexpr std::uint32_t max_frame_payload = 64u << 20;
 /// Default rendezvous path shared by the daemon and client binaries.
 inline constexpr const char* default_socket_path = "/tmp/xsfq_served.sock";
 
+/// Values 2, 3, 65 and 66 (the v1/v2 status and cache_stats exchanges) were
+/// retired in v8 and are never reused.
 enum class msg_type : std::uint8_t {
   // requests
   submit = 1,
-  status = 2,
-  cache_stats = 3,
   shutdown = 4,
   ping = 5,
   hello = 6,         ///< v3: capability/version exchange, always allowed
   auth = 7,          ///< v3: shared-secret token, must precede requests on TCP
-  server_stats = 8,  ///< v3: metrics scrape (generalizes cache_stats)
+  server_stats = 8,  ///< v3: metrics scrape
   synth_delta = 9,   ///< v4: edit script against a retained base network
   trace = 10,        ///< v6: fetch the span set of a completed traced request
   // responses
   result = 64,
-  status_ok = 65,
-  cache_stats_ok = 66,
   shutdown_ok = 67,
   pong = 68,
   hello_ok = 69,
@@ -176,15 +177,14 @@ struct frame {
   /// Version byte the peer announced.  The frame header layout is frozen,
   /// so frames of any plausible version parse structurally; callers enforce
   /// their own version policy (the server rejects != protocol_version with
-  /// a typed error encoded at the peer's version).
+  /// a typed unsupported_version error).
   std::uint8_t version = protocol_version;
   std::vector<std::uint8_t> payload;
 };
 
 /// Serializes one frame (header + payload) ready for a single write.
-/// `version` stamps the header: responses to a mismatched peer are encoded
-/// at the PEER's version so it can decode them (payload must then use the
-/// legacy layout — see encode_legacy_error).
+/// `version` stamps the header; anything but protocol_version impersonates
+/// another peer generation (version-negotiation tests).
 std::vector<std::uint8_t> encode_frame(msg_type type,
                                        std::span<const std::uint8_t> payload,
                                        std::uint8_t version = protocol_version);
@@ -386,11 +386,6 @@ struct server_status {
   double uptime_s = 0.0;
 };
 
-struct cache_stats_reply {
-  flow::batch_cache_stats stats;
-  std::string disk_directory;  ///< empty when the disk tier is disabled
-};
-
 /// v5: one fault-injection site's counters inside a server_stats scrape
 /// (mirrors fault::site_stats; populated only while a schedule is armed).
 struct fault_site_snapshot {
@@ -411,7 +406,7 @@ struct histogram_snapshot {
 
 /// The v3 metrics scrape: everything a load balancer or dashboard needs in
 /// one frame — job/connection gauges, every cache tier, admission counters,
-/// and per-stage latency histograms merged across workers at read time.
+/// and latency histograms folded from the same spans the trace returns.
 struct server_stats_reply {
   server_status status;
   flow::batch_cache_stats cache;
@@ -428,8 +423,9 @@ struct server_stats_reply {
   std::uint32_t max_queue = 0;
   std::uint32_t max_inflight = 0;
   std::uint32_t max_conns = 0;
-  /// Jobs sitting in the batch_runner's worker deques (scheduled, not yet
-  /// picked up) — distinct from the admission queue in front of it.
+  /// Subtask helpers of partitioned optimizes queued in the batch_runner's
+  /// worker deques, not yet picked up.  Requests themselves run on their
+  /// handler threads and never queue here.
   std::uint64_t runner_queue_depth = 0;
   // v4: incremental-resynthesis (ECO) counters.  The cache-tier side
   // (region hits/misses, eco_patches, retained_networks) lives in `cache`;
@@ -482,12 +478,6 @@ trace_request decode_trace_request(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_trace_reply(const trace_reply& reply);
 trace_reply decode_trace_reply(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_server_status(const server_status& status);
-server_status decode_server_status(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> encode_cache_stats(const cache_stats_reply& reply);
-cache_stats_reply decode_cache_stats(std::span<const std::uint8_t> payload);
-
 std::vector<std::uint8_t> encode_server_stats(const server_stats_reply& reply);
 server_stats_reply decode_server_stats(std::span<const std::uint8_t> payload);
 
@@ -505,20 +495,5 @@ struct error_reply {
   std::uint32_t retry_after_ms = 0;  ///< absent on the wire decodes as 0
 };
 error_reply decode_error(std::span<const std::uint8_t> payload);
-
-/// Encodes an error payload in the layout the PEER's announced version can
-/// decode: bare string below v3, [code][message] for v3/v4, the full v5
-/// layout with retry_after_ms at v5+.  The version-mismatch reply path and
-/// every best-effort error frame funnel through this.
-std::vector<std::uint8_t> encode_error_for_version(
-    std::uint8_t peer_version, error_code code, const std::string& message,
-    std::uint32_t retry_after_ms = 0);
-
-/// v1/v2 error payload (bare string) — used only when answering a peer that
-/// announced an older version, encoded at THAT version so it can decode.
-std::vector<std::uint8_t> encode_legacy_error(const std::string& message);
-/// The inverse: what a v3 client does with an error frame whose header
-/// announces an older version (a pre-v3 daemon rejecting us).
-std::string decode_legacy_error(std::span<const std::uint8_t> payload);
 
 }  // namespace xsfq::serve

@@ -180,14 +180,6 @@ synth_response resilient_client::submit_delta(
       [&](client& c) { return c.submit_delta(req, progress); });
 }
 
-server_status resilient_client::status() {
-  return with_retries([](client& c) { return c.status(); });
-}
-
-cache_stats_reply resilient_client::cache_stats() {
-  return with_retries([](client& c) { return c.cache_stats(); });
-}
-
 server_stats_reply resilient_client::server_stats() {
   return with_retries([](client& c) { return c.server_stats(); });
 }

@@ -75,8 +75,6 @@ class resilient_client {
   synth_response submit_delta(const synth_delta_request& req,
                               const client::progress_fn& progress = {});
 
-  server_status status();
-  cache_stats_reply cache_stats();
   server_stats_reply server_stats();
   /// v6: fetch a traced request's span tree (read-only, safely retryable —
   /// an evicted id just comes back empty).

@@ -117,9 +117,7 @@ int listen_tcp(const std::string& address, std::uint16_t& bound_port) {
 }  // namespace
 
 /// One accepted connection: the fd plus its handler thread's lifecycle
-/// bookkeeping (reaped opportunistically and on stop()) and the per-worker
-/// latency histograms, recycled across this connection's requests and
-/// merged into the server's retired set when the connection is reaped.
+/// bookkeeping (reaped opportunistically and on stop()).
 struct server::connection {
   int fd = -1;
   std::uint64_t id = 0;     ///< monotonic, correlates log lines
@@ -127,10 +125,6 @@ struct server::connection {
   bool needs_auth = false;  ///< TCP with a configured token; cleared by auth
   std::thread thread;
   std::atomic<bool> done{false};
-  /// Guards hist against a concurrent server_stats() merge; recording takes
-  /// this uncontended lock once per sample, readers once per scrape.
-  std::mutex hist_mutex;
-  histogram_set hist;
 
   ~connection() {
     int fd_copy = fd;
@@ -225,7 +219,17 @@ void server::accept_loop(int listen_fd, bool is_tcp) {
       }
       reap_finished_locked();
       over_cap = active_connections_locked() >= options_.max_conns;
-      if (!over_cap) connections_.push_back(conn);
+      if (!over_cap) {
+        log::line(log::level::debug, "conn.accept")
+            .kv("conn", conn->id)
+            .kv("transport", is_tcp ? "tcp" : "unix");
+        // The thread is assigned before the connection is published, under
+        // the same lock every reaper holds: a connection that finishes at
+        // once must never be erased (and its joinable thread destroyed)
+        // before this assignment lands.
+        conn->thread = std::thread([this, conn] { handle_connection(conn); });
+        connections_.push_back(conn);
+      }
     }
     if (over_cap) {
       // Bounce BEFORE a handler thread exists: a connection flood must hit
@@ -247,13 +251,7 @@ void server::accept_loop(int listen_fd, bool is_tcp) {
       }
       ::close(fd);
       conn->fd = -1;
-      continue;
     }
-    log::line(log::level::debug, "conn.accept")
-        .kv("conn", conn->id)
-        .kv("transport", is_tcp ? "tcp" : "unix");
-    conn->thread =
-        std::thread([this, conn] { handle_connection(conn); });
   }
 }
 
@@ -261,12 +259,6 @@ void server::reap_finished_locked() {
   for (auto it = connections_.begin(); it != connections_.end();) {
     if ((*it)->done.load()) {
       if ((*it)->thread.joinable()) (*it)->thread.join();
-      {
-        // Keep the samples: merge the dead connection's histograms into the
-        // retired set before the object goes away.
-        std::lock_guard<std::mutex> hist_lock((*it)->hist_mutex);
-        (*it)->hist.merge_into(retired_hist_);
-      }
       it = connections_.erase(it);
     } else {
       ++it;
@@ -286,8 +278,8 @@ void server::handle_connection(const std::shared_ptr<connection>& conn) {
   const int fd = conn->fd;
   bool writable = true;
   bool authed = !conn->needs_auth;
-  const auto send = [&](msg_type type,
-                        const std::vector<std::uint8_t>& payload) {
+  const send_fn send = [&](msg_type type,
+                           const std::vector<std::uint8_t>& payload) {
     if (!writable) return;
     if (fault::fire("serve.send.reset")) {
       // Chaos: the connection "resets" before this response hits the wire.
@@ -303,7 +295,7 @@ void server::handle_connection(const std::shared_ptr<connection>& conn) {
       const std::uint64_t send_start = trace::now_us();
       write_frame_fd(fd, type, payload, protocol_version,
                      options_.io_timeout_ms);
-      trace::record("send", send_start, trace::now_us() - send_start);
+      record_span("send", send_start, trace::now_us() - send_start);
     } catch (const io_timeout_error&) {
       // The peer stopped draining its socket: reclaim this thread instead
       // of blocking in send() forever at its mercy.
@@ -326,11 +318,6 @@ void server::handle_connection(const std::shared_ptr<connection>& conn) {
       writable = false;
     }
   };
-  const auto record_ms = [&](std::string_view name, double ms) {
-    std::lock_guard<std::mutex> lock(conn->hist_mutex);
-    conn->hist.at(name).record(ms);
-  };
-
   try {
     for (;;) {
       if (fault::fire("serve.recv.stall")) {
@@ -343,19 +330,14 @@ void server::handle_connection(const std::shared_ptr<connection>& conn) {
       if (!f) break;  // clean end-of-stream (client closed, or drain)
       if (f->version != protocol_version) {
         // Typed, decodable rejection instead of a hang: the header layout
-        // is frozen, so we answer AT THE PEER'S VERSION (legacy string
-        // payload below v3, no retry_after hint below v5) and close.
-        const std::string what =
-            "protocol version mismatch: daemon speaks v" +
-            std::to_string(protocol_version) + ", client sent v" +
-            std::to_string(f->version) + "; upgrade the client";
-        try {
-          write_frame_fd(fd, msg_type::error,
-                         encode_error_for_version(
-                             f->version, error_code::unsupported_version, what),
-                         f->version);
-        } catch (const protocol_error&) {
-        }
+        // is frozen, so any peer can read this frame, and every client
+        // since v5 decodes the payload.  Then close.
+        send(msg_type::error,
+             encode_error(error_code::unsupported_version,
+                          "protocol version mismatch: daemon speaks v" +
+                              std::to_string(protocol_version) +
+                              ", client sent v" + std::to_string(f->version) +
+                              "; upgrade the client"));
         break;
       }
       if (!authed && f->type != msg_type::hello && f->type != msg_type::auth) {
@@ -397,222 +379,10 @@ void server::handle_connection(const std::shared_ptr<connection>& conn) {
           }
           break;
         }
-        case msg_type::submit: {
-          const synth_request req = decode_synth_request(f->payload);
-          jobs_submitted_.fetch_add(1);
-          // Install the request's trace context for this handler thread:
-          // every span recorded below (and on pool threads, via the
-          // batch_runner's context capture) attributes to this id.
-          const trace::trace_id tid{req.trace_hi, req.trace_lo};
-          trace::context_scope tscope(tid);
-          log::line(log::level::debug, "request.start")
-              .kv("conn", conn->id)
-              .kv("type", "submit")
-              .kv("spec", req.spec)
-              .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-          const std::uint64_t admit_start = trace::now_us();
-          const auto ticket = admission_.acquire(req.priority, req.deadline_ms);
-          trace::record("queue_wait", admit_start,
-                        trace::now_us() - admit_start);
-          if (ticket.outcome == admission_queue::verdict::overloaded) {
-            jobs_failed_.fetch_add(1);
-            log::line(log::level::warn, "request.shed")
-                .kv("conn", conn->id)
-                .kv("reason", "overloaded")
-                .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-            send(msg_type::error,
-                 encode_error(error_code::overloaded,
-                              "admission queue full (max_queue=" +
-                                  std::to_string(options_.max_queue) +
-                                  "); retry later",
-                              retry_after_hint_ms()));
-            break;
-          }
-          if (ticket.outcome == admission_queue::verdict::deadline_expired) {
-            jobs_failed_.fetch_add(1);
-            log::line(log::level::warn, "request.shed")
-                .kv("conn", conn->id)
-                .kv("reason", "deadline_expired")
-                .kv("queued_ms", ticket.queued_ms)
-                .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-            send(msg_type::error,
-                 encode_error(error_code::deadline_expired,
-                              "deadline passed after " +
-                                  std::to_string(ticket.queued_ms) +
-                                  " ms in the admission queue"));
-            break;
-          }
-          record_ms("queue_wait", ticket.queued_ms);
-          // Progress events stream from the executing worker thread; every
-          // event happens strictly before run_synth returns, so writes to
-          // the socket never interleave with the result frame below.
-          const auto progress = [&](const progress_event& ev) {
-            if (!ev.from_cache) {
-              record_ms("stage:" + ev.stage, ev.ms);
-              // The stage just finished on the calling thread: spans are
-              // recorded end-anchored (start = now - duration).
-              const std::uint64_t dur_us =
-                  static_cast<std::uint64_t>(ev.ms * 1000.0);
-              const std::uint64_t end_us = trace::now_us();
-              trace::record("stage:" + ev.stage,
-                            end_us > dur_us ? end_us - dur_us : 0, dur_us);
-            }
-            if (req.stream_progress) {
-              send(msg_type::progress, encode_progress_event(ev));
-            }
-          };
-          const auto started = std::chrono::steady_clock::now();
-          const std::uint64_t started_us = trace::now_us();
-          synth_response resp;
-          try {
-            resp = run_synth(req, *runner_, progress);
-          } catch (...) {
-            admission_.release();
-            throw;
-          }
-          admission_.release();
-          const double total_ms = std::chrono::duration<double, std::milli>(
-                                      std::chrono::steady_clock::now() - started)
-                                      .count();
-          trace::record("request_total", started_us,
-                        trace::now_us() - started_us);
-          record_ms("request_total", total_ms);
-          record_request_ms(total_ms);
-          (resp.ok ? jobs_completed_ : jobs_failed_).fetch_add(1);
-          log::line(log::level::info, "request.done")
-              .kv("conn", conn->id)
-              .kv("type", "submit")
-              .kv("spec", req.spec)
-              .kv("ok", resp.ok)
-              .kv("cached", resp.served_from_cache)
-              .kv("ms", total_ms)
-              .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-          send(msg_type::result, encode_synth_response(resp));
-          if (tid.valid() && !options_.trace_out_dir.empty()) {
-            export_trace(options_.trace_out_dir, tid);
-          }
+        case msg_type::submit:
+        case msg_type::synth_delta:
+          handle_request(*conn, *f, send);
           break;
-        }
-        case msg_type::synth_delta: {
-          const synth_delta_request req =
-              decode_synth_delta_request(f->payload);
-          jobs_submitted_.fetch_add(1);
-          eco_requests_.fetch_add(1);
-          // The trace id rides on the nested base request.
-          const trace::trace_id tid{req.base.trace_hi, req.base.trace_lo};
-          trace::context_scope tscope(tid);
-          log::line(log::level::debug, "request.start")
-              .kv("conn", conn->id)
-              .kv("type", "synth_delta")
-              .kv("spec", req.base.spec)
-              .kv_hex("base", req.base_content_hash)
-              .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-          const std::uint64_t admit_start = trace::now_us();
-          const auto ticket = admission_.acquire(req.base.priority,
-                                                 req.base.deadline_ms);
-          trace::record("queue_wait", admit_start,
-                        trace::now_us() - admit_start);
-          if (ticket.outcome == admission_queue::verdict::overloaded) {
-            jobs_failed_.fetch_add(1);
-            log::line(log::level::warn, "request.shed")
-                .kv("conn", conn->id)
-                .kv("reason", "overloaded")
-                .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-            send(msg_type::error,
-                 encode_error(error_code::overloaded,
-                              "admission queue full (max_queue=" +
-                                  std::to_string(options_.max_queue) +
-                                  "); retry later",
-                              retry_after_hint_ms()));
-            break;
-          }
-          if (ticket.outcome == admission_queue::verdict::deadline_expired) {
-            jobs_failed_.fetch_add(1);
-            log::line(log::level::warn, "request.shed")
-                .kv("conn", conn->id)
-                .kv("reason", "deadline_expired")
-                .kv("queued_ms", ticket.queued_ms)
-                .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-            send(msg_type::error,
-                 encode_error(error_code::deadline_expired,
-                              "deadline passed after " +
-                                  std::to_string(ticket.queued_ms) +
-                                  " ms in the admission queue"));
-            break;
-          }
-          record_ms("queue_wait", ticket.queued_ms);
-          const auto progress = [&](const progress_event& ev) {
-            if (!ev.from_cache) {
-              record_ms("stage:" + ev.stage, ev.ms);
-              const std::uint64_t dur_us =
-                  static_cast<std::uint64_t>(ev.ms * 1000.0);
-              const std::uint64_t end_us = trace::now_us();
-              trace::record("stage:" + ev.stage,
-                            end_us > dur_us ? end_us - dur_us : 0, dur_us);
-            }
-            if (req.base.stream_progress) {
-              send(msg_type::progress, encode_progress_event(ev));
-            }
-          };
-          const auto started = std::chrono::steady_clock::now();
-          const std::uint64_t started_us = trace::now_us();
-          synth_response resp;
-          eco_outcome outcome;
-          try {
-            resp = run_synth_delta(req, *runner_, progress, &outcome);
-          } catch (const service_error& e) {
-            // unknown_base / bad_edit: the client's mistake, typed so an
-            // interactive session can resubmit the full circuit instead.
-            admission_.release();
-            jobs_failed_.fetch_add(1);
-            eco_failures_.fetch_add(1);
-            log::line(log::level::warn, "request.error")
-                .kv("conn", conn->id)
-                .kv("type", "synth_delta")
-                .kv("error", e.what())
-                .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-            send(msg_type::error, encode_error(e.code, e.what()));
-            break;
-          } catch (...) {
-            admission_.release();
-            throw;
-          }
-          admission_.release();
-          if (outcome.base_retained) eco_retained_hits_.fetch_add(1);
-          if (outcome.base_rebuilt) eco_base_rebuilds_.fetch_add(1);
-          const double total_ms = std::chrono::duration<double, std::milli>(
-                                      std::chrono::steady_clock::now() - started)
-                                      .count();
-          trace::record("request_total", started_us,
-                        trace::now_us() - started_us);
-          record_ms("eco_total", total_ms);
-          record_request_ms(total_ms);
-          (resp.ok ? jobs_completed_ : jobs_failed_).fetch_add(1);
-          log::line(log::level::info, "request.done")
-              .kv("conn", conn->id)
-              .kv("type", "synth_delta")
-              .kv("spec", req.base.spec)
-              .kv("ok", resp.ok)
-              .kv("retained", outcome.base_retained)
-              .kv("ms", total_ms)
-              .kv("trace_id", tid.valid() ? trace::to_hex(tid) : "");
-          send(msg_type::result, encode_synth_response(resp));
-          if (tid.valid() && !options_.trace_out_dir.empty()) {
-            export_trace(options_.trace_out_dir, tid);
-          }
-          break;
-        }
-        case msg_type::status: {
-          send(msg_type::status_ok, encode_server_status(status()));
-          break;
-        }
-        case msg_type::cache_stats: {
-          cache_stats_reply reply;
-          reply.stats = runner_->cache_stats();
-          reply.disk_directory = runner_->disk_cache_directory();
-          send(msg_type::cache_stats_ok, encode_cache_stats(reply));
-          break;
-        }
         case msg_type::server_stats: {
           send(msg_type::server_stats_ok, encode_server_stats(stats()));
           break;
@@ -724,13 +494,6 @@ void server::stop() {
   for (const auto& conn : to_join) {
     if (conn->thread.joinable()) conn->thread.join();
   }
-  {
-    // The joined handlers can no longer record; keep their samples.
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& conn : to_join) {
-      conn->hist.merge_into(retired_hist_);
-    }
-  }
   if (!options_.socket_path.empty()) {
     ::unlink(options_.socket_path.c_str());
   }
@@ -747,9 +510,130 @@ bool server::shutdown_requested() const {
   return shutdown_requested_;
 }
 
-void server::record_request_ms(double ms) {
-  std::lock_guard<std::mutex> lock(request_hist_mutex_);
-  request_hist_.record(ms);
+void server::record_span(std::string_view name, std::uint64_t start_us,
+                         std::uint64_t dur_us) {
+  trace::record(name, start_us, dur_us);
+  const double ms = static_cast<double>(dur_us) / 1000.0;
+  std::lock_guard<std::mutex> lock(hist_mutex_);
+  hist_.at(name).record(ms);
+}
+
+void server::handle_request(const connection& conn, const frame& f,
+                            const send_fn& send) {
+  // A delta nests a complete submit request as its base, so one
+  // synth_delta_request carries either kind; only the run call and the
+  // eco_* counters below depend on which kind arrived.
+  const bool is_delta = f.type == msg_type::synth_delta;
+  synth_delta_request delta;
+  if (is_delta) {
+    delta = decode_synth_delta_request(f.payload);
+    eco_requests_.fetch_add(1);
+  } else {
+    delta.base = decode_synth_request(f.payload);
+  }
+  const synth_request& req = delta.base;
+  jobs_submitted_.fetch_add(1);
+
+  // Install the request's trace context for this handler thread: every
+  // span recorded below (and on pool threads serving partitioned-optimize
+  // regions, which capture the context) attributes to this id.
+  const trace::trace_id tid{req.trace_hi, req.trace_lo};
+  trace::context_scope tscope(tid);
+  const std::string tid_hex = tid.valid() ? trace::to_hex(tid) : "";
+  const char* const kind = is_delta ? "synth_delta" : "submit";
+  {
+    log::line start(log::level::debug, "request.start");
+    start.kv("conn", conn.id).kv("type", kind).kv("spec", req.spec);
+    if (is_delta) start.kv_hex("base", delta.base_content_hash);
+    start.kv("trace_id", tid_hex);
+  }
+
+  const std::uint64_t admit_start = trace::now_us();
+  const auto ticket = admission_.acquire(req.priority, req.deadline_ms);
+  record_span("queue_wait", admit_start, trace::now_us() - admit_start);
+  if (ticket.outcome != admission_queue::verdict::admitted) {
+    const bool overloaded =
+        ticket.outcome == admission_queue::verdict::overloaded;
+    jobs_failed_.fetch_add(1);
+    log::line(log::level::warn, "request.shed")
+        .kv("conn", conn.id)
+        .kv("reason", overloaded ? "overloaded" : "deadline_expired")
+        .kv("queued_ms", ticket.queued_ms)
+        .kv("trace_id", tid_hex);
+    send(msg_type::error,
+         overloaded
+             ? encode_error(error_code::overloaded,
+                            "admission queue full (max_queue=" +
+                                std::to_string(options_.max_queue) +
+                                "); retry later",
+                            retry_after_hint_ms())
+             : encode_error(error_code::deadline_expired,
+                            "deadline passed after " +
+                                std::to_string(ticket.queued_ms) +
+                                " ms in the admission queue"));
+    return;
+  }
+
+  // Every event happens on this thread strictly before the run returns, so
+  // progress frames never interleave with the result frame below.
+  const auto progress = [&](const progress_event& ev) {
+    if (!ev.from_cache) {
+      // The stage just finished: spans are end-anchored (start = now -
+      // duration).
+      const std::uint64_t dur_us = static_cast<std::uint64_t>(ev.ms * 1000.0);
+      const std::uint64_t end_us = trace::now_us();
+      record_span("stage:" + ev.stage, end_us > dur_us ? end_us - dur_us : 0,
+                  dur_us);
+    }
+    if (req.stream_progress) {
+      send(msg_type::progress, encode_progress_event(ev));
+    }
+  };
+  const std::uint64_t started_us = trace::now_us();
+  synth_response resp;
+  eco_outcome outcome;
+  try {
+    resp = is_delta ? run_synth_delta(delta, *runner_, progress, &outcome)
+                    : run_synth(req, *runner_, progress);
+  } catch (const service_error& e) {
+    // unknown_base / bad_edit, thrown only by deltas: the client's
+    // mistake, typed so an interactive session can resubmit the full
+    // circuit instead.
+    admission_.release();
+    jobs_failed_.fetch_add(1);
+    eco_failures_.fetch_add(1);
+    log::line(log::level::warn, "request.error")
+        .kv("conn", conn.id)
+        .kv("type", kind)
+        .kv("error", e.what())
+        .kv("trace_id", tid_hex);
+    send(msg_type::error, encode_error(e.code, e.what()));
+    return;
+  } catch (...) {
+    admission_.release();
+    throw;
+  }
+  admission_.release();
+  const std::uint64_t total_us = trace::now_us() - started_us;
+  record_span("request_total", started_us, total_us);
+  if (outcome.base_retained) eco_retained_hits_.fetch_add(1);
+  if (outcome.base_rebuilt) eco_base_rebuilds_.fetch_add(1);
+  (resp.ok ? jobs_completed_ : jobs_failed_).fetch_add(1);
+  log::line(log::level::info, "request.done")
+      .kv("conn", conn.id)
+      .kv("type", kind)
+      .kv("spec", req.spec)
+      .kv("ok", resp.ok)
+      .kv("cached", resp.served_from_cache)
+      .kv("retained", outcome.base_retained)
+      .kv("ms", static_cast<double>(total_us) / 1000.0)
+      .kv("trace_id", tid_hex);
+  // Exported before the result frame, so the file exists by the time the
+  // client holds the result.
+  if (tid.valid() && !options_.trace_out_dir.empty()) {
+    export_trace(options_.trace_out_dir, tid);
+  }
+  send(msg_type::result, encode_synth_response(resp));
 }
 
 std::uint32_t server::retry_after_hint_ms() const {
@@ -759,11 +643,14 @@ std::uint32_t server::retry_after_hint_ms() const {
   // figure; clamp the product so one slow cold run cannot tell clients to
   // go away for an hour, and a zero-depth race never returns 0 (which the
   // wire format reserves for "no hint").
-  double median_ms;
+  double median_ms = 25.0;
   {
-    std::lock_guard<std::mutex> lock(request_hist_mutex_);
-    median_ms = request_hist_.count() > 0 ? request_hist_.quantile_ms(0.5)
-                                          : 25.0;
+    std::lock_guard<std::mutex> lock(hist_mutex_);
+    for (const auto& [name, hist] : hist_.entries()) {
+      if (name == "request_total" && hist.count() > 0) {
+        median_ms = hist.quantile_ms(0.5);
+      }
+    }
   }
   const std::size_t depth = admission_.snapshot().queue_depth;
   const double hint =
@@ -822,18 +709,8 @@ server_stats_reply server::stats() const {
     reply.fault_sites.push_back({s.site, s.hits, s.fired});
   }
 
-  // Merge-on-read: the retired set plus every live connection's recycled
-  // per-worker histograms, none of which pay anything on the request path.
-  histogram_set merged;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    retired_hist_.merge_into(merged);
-    for (const auto& conn : connections_) {
-      std::lock_guard<std::mutex> hist_lock(conn->hist_mutex);
-      conn->hist.merge_into(merged);
-    }
-  }
-  for (const auto& [name, hist] : merged.entries()) {
+  std::lock_guard<std::mutex> lock(hist_mutex_);
+  for (const auto& [name, hist] : hist_.entries()) {
     histogram_snapshot snap;
     snap.name = name;
     snap.count = hist.count();

@@ -12,15 +12,18 @@
 ///
 /// Each accepted connection gets a handler thread, capped at `max_conns`
 /// (excess connections receive a typed `too_many_connections` error and are
-/// closed before a thread is spawned).  Submits pass the bounded
-/// priority/deadline admission queue (serve/admission.hpp) and then
-/// multiplex onto the shared pool through batch_runner::enqueue, so N
-/// clients synthesizing concurrently share workers, de-duplicate identical
-/// in-flight optimize stages through the shared-future tier, and hit each
-/// other's cached results.  Per-request latencies (queue wait, each flow
-/// stage, end-to-end) are recorded into per-connection log-bucket
-/// histograms, recycled across requests and merged only when a
-/// `server_stats` scrape asks.
+/// closed before a thread is spawned).  `submit` and `synth_delta` share one
+/// request path: the bounded priority/deadline admission queue
+/// (serve/admission.hpp), then the flow on the handler thread itself
+/// against the shared runner's cache tiers, so N clients synthesizing
+/// concurrently de-duplicate identical in-flight optimize stages through the
+/// shared-future tier and hit each other's cached results, and a warm hit
+/// renders straight from the shared cache entry.  The runner's pool only
+/// serves partitioned-optimize subtasks.  Every span the daemon records
+/// (queue wait, each flow stage, end-to-end, each frame sent) goes through
+/// one helper that writes the flight-recorder span and, from the same start
+/// and duration, one sample into a server-wide log-bucket histogram set —
+/// so the `server_stats` scrape and a request's trace cannot disagree.
 ///
 /// Shutdown is a drain, triggered either by stop() (the daemon calls it on
 /// SIGINT/SIGTERM) or by a client's `shutdown` request: the listeners
@@ -36,9 +39,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -81,8 +86,11 @@ struct server_options {
   int idle_timeout_ms = 0;
   /// v6: when non-empty, every traced request (non-zero trace_id) writes its
   /// collected span set as Chrome trace-event JSON to
-  /// `<trace_out_dir>/trace_<id>.json` after the result is sent.  The
-  /// directory must exist; write failures are logged, never fatal.
+  /// `<trace_out_dir>/trace_<id>.json` before its result frame is sent, so
+  /// the file exists once the client holds the result.  The file therefore
+  /// lacks the result frame's own `send` span (the `trace` request still
+  /// returns it).  The directory must exist; write failures are logged,
+  /// never fatal.
   std::string trace_out_dir;
 };
 
@@ -110,24 +118,33 @@ class server {
 
   [[nodiscard]] flow::batch_runner& runner() { return *runner_; }
   [[nodiscard]] const server_options& options() const { return options_; }
-  /// v2 status gauges (jobs, connections, workers, uptime).
+  /// The job/connection/worker/uptime gauges of the stats() scrape.
   [[nodiscard]] server_status status() const;
-  /// The full v3 metrics scrape: status + cache tiers + admission counters
-  /// + latency histograms merged across live and retired connections.
+  /// The full metrics scrape: status + cache tiers + admission counters +
+  /// the latency histograms folded from every recorded span.
   [[nodiscard]] server_stats_reply stats() const;
 
  private:
   struct connection;
+  using send_fn =
+      std::function<void(msg_type, const std::vector<std::uint8_t>&)>;
 
   void accept_loop(int listen_fd, bool is_tcp);
   void handle_connection(const std::shared_ptr<connection>& conn);
+  /// The one request path of `submit` and `synth_delta`: admission, the run
+  /// on this handler thread, and exactly one terminal frame through `send`.
+  void handle_request(const connection& conn, const frame& f,
+                      const send_fn& send);
+  /// Records one span: the flight-recorder entry (util/trace.hpp) and, from
+  /// the same start and duration, one sample into hist_.
+  void record_span(std::string_view name, std::uint64_t start_us,
+                   std::uint64_t dur_us);
   void reap_finished_locked();
   std::size_t active_connections_locked() const;
   /// Backoff hint for overloaded/too_many_connections errors: queue depth ×
   /// the recent request_total median (clamped to a sane window), i.e. "how
   /// long until the backlog ahead of you plausibly drains".
   std::uint32_t retry_after_hint_ms() const;
-  void record_request_ms(double ms);
 
   server_options options_;
   std::unique_ptr<flow::batch_runner> runner_;
@@ -143,15 +160,10 @@ class server {
   bool stopping_ = false;
   bool shutdown_requested_ = false;
   std::vector<std::shared_ptr<connection>> connections_;
-  /// Histograms of reaped connections, merged in under mutex_ so their
-  /// samples survive the connection objects.
-  histogram_set retired_hist_;
 
-  /// Server-wide copy of every request's end-to-end latency, kept separate
-  /// from the per-connection scrape histograms so retry_after_hint_ms() can
-  /// read a median without merging the whole histogram set per rejection.
-  mutable std::mutex request_hist_mutex_;
-  log_histogram request_hist_;
+  /// One latency histogram per span name, fed only by record_span.
+  mutable std::mutex hist_mutex_;
+  histogram_set hist_;
 
   std::atomic<std::uint64_t> jobs_submitted_{0};
   std::atomic<std::uint64_t> jobs_completed_{0};

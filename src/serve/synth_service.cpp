@@ -97,7 +97,7 @@ flow::flow_options options_for(const synth_request& req) {
 synth_response run_synth_on(
     const synth_request& req, aig network, flow::batch_runner& runner,
     const std::function<void(const progress_event&)>& progress,
-    bool force_full, bool inline_exec) {
+    bool force_full) {
   synth_response resp;
   try {
     std::ostringstream report;
@@ -112,8 +112,6 @@ synth_response run_synth_on(
     bool any_stage = false;
     const flow::stage_observer observer =
         [&](const flow::stage_event& ev) {
-          // Runs on the executing worker; all calls happen strictly before
-          // the future below becomes ready, so these captures are safe.
           any_stage = true;
           if (!ev.from_cache) any_live_stage = true;
           if (progress) {
@@ -122,35 +120,17 @@ synth_response run_synth_on(
                       ev.counters, ev.from_cache});
           }
         };
-    // Delta requests (inline_exec) run on the calling thread — the daemon's
-    // connection handler — skipping the pool handoff entirely: two context
-    // switches are real money against a sub-ms budget, and admission control
-    // already bounds how many handlers synthesize at once.  Plain submits
-    // keep the pool path.  Determinism makes the two execution modes
-    // byte-identical; force_full is the ECO comparator, the identical flow
-    // with every cache tier bypassed.
-    std::shared_ptr<const flow::flow_result> shared;
-    if (inline_exec) {
-      shared = force_full
-                   ? std::make_shared<const flow::flow_result>(
+    // The flow runs on the calling thread — the daemon's connection handler
+    // — with no pool handoff: admission control already bounds how many
+    // handlers synthesize at once, and a warm hit renders straight out of
+    // the shared cache entry without copying it.  force_full is the ECO
+    // comparator, the identical flow with every cache tier bypassed.
+    const std::shared_ptr<const flow::flow_result> shared =
+        force_full ? std::make_shared<const flow::flow_result>(
                          runner.run_uncached(std::move(network), req.spec,
                                              options, observer))
                    : runner.run_cached_shared(std::move(network), req.spec,
                                               options, observer);
-    } else {
-      shared = std::make_shared<const flow::flow_result>(
-          force_full
-              ? runner
-                    .enqueue_job([&runner, network = std::move(network),
-                                  spec = req.spec, options,
-                                  observer]() mutable {
-                      return runner.run_uncached(std::move(network), spec,
-                                                 options, observer);
-                    })
-                    .get()
-              : runner.enqueue(std::move(network), req.spec, options, observer)
-                    .get());
-    }
     const flow::flow_result& r = *shared;
 
     report << "optimized: " << r.opt_stats.initial_gates << " -> "
@@ -215,7 +195,7 @@ synth_response run_synth(
     return resp;
   }
   return run_synth_on(req, std::move(network), runner, progress,
-                      /*force_full=*/false, /*inline_exec=*/false);
+                      /*force_full=*/false);
 }
 
 synth_response run_synth_delta(
@@ -273,9 +253,8 @@ synth_response run_synth_delta(
     throw service_error(error_code::bad_edit, e.what());
   }
 
-  synth_response resp =
-      run_synth_on(req.base, std::move(base), runner, progress,
-                   req.force_full, /*inline_exec=*/true);
+  synth_response resp = run_synth_on(req.base, std::move(base), runner,
+                                     progress, req.force_full);
 
   // Supersede: the interactive session has edited the base away, so its
   // cache entries (memory + disk) would never be requested again.  An empty

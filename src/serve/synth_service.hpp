@@ -10,9 +10,10 @@
 /// deterministic output (everything except the wall-clock timing lines) by
 /// construction rather than by parallel maintenance of two printers.
 ///
-/// Requests run through batch_runner::enqueue, which multiplexes any number
-/// of concurrent callers onto the work-stealing pool and applies every
-/// result-cache tier (memory, in-flight optimize dedup, disk).
+/// Requests run on the calling thread through batch_runner::run_cached_shared,
+/// which is safe from any number of concurrent callers and applies every
+/// result-cache tier (memory, in-flight optimize dedup, disk); the runner's
+/// pool only serves a partitioned optimize's subtasks.
 
 #include <string>
 
@@ -31,11 +32,11 @@ synth_request make_request_for_spec(const std::string& spec);
 /// Throws on unknown benchmarks or parse errors.
 aig load_request_circuit(const synth_request& req);
 
-/// Runs one request on the runner's pool with all cache tiers applied and
+/// Runs one request on the calling thread with all cache tiers applied and
 /// renders the full response, including the deterministic report text and
 /// any requested Verilog/DOT payloads.  `progress` (optional) receives one
-/// event per stage, called from the executing worker thread.  Never throws
-/// for request-level failures: they come back as ok=false.
+/// event per stage, on the calling thread.  Never throws for request-level
+/// failures: they come back as ok=false.
 synth_response run_synth(const synth_request& req, flow::batch_runner& runner,
                          const std::function<void(const progress_event&)>&
                              progress = {});

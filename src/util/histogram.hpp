@@ -7,13 +7,11 @@
 /// (bucket 0 also absorbs everything below 1 us, the last bucket everything
 /// above its lower bound).  Recording is a branch-free index computation
 /// plus one increment — cheap enough to sit on every request — and the
-/// fixed layout makes merging a word-wise add, so the serving layer can keep
-/// one recycled histogram per worker/connection and merge them only when a
-/// stats reader asks (`server_stats`), never on the request path.
+/// fixed layout makes merging a word-wise add.
 ///
 /// Neither class is internally synchronized: the owner either confines an
 /// instance to one thread or guards it with its own lock (src/serve/server
-/// does the latter, one short-lived lock per connection).
+/// keeps one server-wide set, fed by its span helper under one short lock).
 
 #include <array>
 #include <cstddef>

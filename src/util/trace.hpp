@@ -24,8 +24,10 @@
 ///     traffic never touches the collector or its lock.
 ///
 /// Context propagates by thread: the server's handler installs a
-/// context_scope per request, batch_runner captures current() into enqueued
-/// jobs, so spans recorded on pool threads attribute to the right request.
+/// context_scope per request and runs the flow on that thread, and the
+/// partitioned optimize captures current() into the region tasks it hands
+/// the pool, so spans recorded on pool threads attribute to the right
+/// request.
 ///
 /// Snapshot safety: slots are seqlock-stamped (odd = mid-write) and every
 /// field is a relaxed atomic, so a cross-thread snapshot is race-free and

@@ -196,13 +196,15 @@ TEST(BatchRunner, PoolIsReusableAcrossBatches) {
 
 TEST(BatchRunner, CustomFlowFactory) {
   flow::batch_runner runner(2);
-  const auto report = runner.run(
-      {"dec", "int2float"}, [](const std::string& name) {
-        flow::flow f(name);
-        f.add_stage(flow::stages::benchmark(name));
-        f.add_stage(flow::stages::map());  // raw mapping, no optimize
-        return f;
-      });
+  const std::vector<std::string> names{"dec", "int2float"};
+  std::vector<std::function<flow::flow_result()>> jobs;
+  for (const auto& name : names) {
+    flow::flow f(name);
+    f.add_stage(flow::stages::benchmark(name));
+    f.add_stage(flow::stages::map());  // raw mapping, no optimize
+    jobs.push_back([f = std::move(f)] { return f.run(); });
+  }
+  const auto report = runner.run_jobs(names, std::move(jobs));
   ASSERT_EQ(report.num_ok(), 2u);
   for (const auto& e : report.entries) {
     EXPECT_EQ(e.result.timings.size(), 2u);

@@ -332,6 +332,22 @@ TEST(OptArena, PartitionedOptimizeDeterministicForEveryPartitionCount) {
   }
 }
 
+TEST(OptArena, EngineLeasesOutliveTheThreadsThatHeldThem) {
+  // A short-lived thread (one daemon handler per connection) hands its warm
+  // engine back; the next lease, on any thread, takes that same engine.
+  const opt_engine* released = nullptr;
+  std::thread([&] {
+    const opt_engine::lease engine;
+    released = &*engine;
+    (void)engine->optimize(benchgen::make_benchmark("c432"));
+  }).join();
+  const opt_engine::lease again;
+  EXPECT_EQ(&*again, released);
+  // Concurrent leases never share an engine.
+  const opt_engine::lease other;
+  EXPECT_NE(&*other, &*again);
+}
+
 TEST(OptArena, PartitionedOptimizeOnBatchRunnerPoolMatchesInline) {
   const aig g = benchgen::make_benchmark("c880");
   optimize_params params;
@@ -339,7 +355,9 @@ TEST(OptArena, PartitionedOptimizeOnBatchRunnerPoolMatchesInline) {
   const aig inline_result = optimize_partitioned(g, params, nullptr);
 
   flow::batch_runner runner(4);
-  params.executor = runner.make_subtask_runner();
+  params.executor = [&runner](std::vector<std::function<void()>>&& tasks) {
+    runner.run_subtasks(std::move(tasks));
+  };
   for (int rep = 0; rep < 3; ++rep) {
     const aig pooled = optimize_partitioned(g, params, nullptr);
     EXPECT_EQ(pooled.content_hash(), inline_result.content_hash());

@@ -97,8 +97,6 @@ TEST(ProtocolDoc, MessageTypeTableMatchesEnum) {
   // per-row expectation.
   const std::map<std::string, serve::msg_type> expected = {
       {"submit", serve::msg_type::submit},
-      {"status", serve::msg_type::status},
-      {"cache_stats", serve::msg_type::cache_stats},
       {"shutdown", serve::msg_type::shutdown},
       {"ping", serve::msg_type::ping},
       {"hello", serve::msg_type::hello},
@@ -107,8 +105,6 @@ TEST(ProtocolDoc, MessageTypeTableMatchesEnum) {
       {"synth_delta", serve::msg_type::synth_delta},
       {"trace", serve::msg_type::trace},
       {"result", serve::msg_type::result},
-      {"status_ok", serve::msg_type::status_ok},
-      {"cache_stats_ok", serve::msg_type::cache_stats_ok},
       {"shutdown_ok", serve::msg_type::shutdown_ok},
       {"pong", serve::msg_type::pong},
       {"hello_ok", serve::msg_type::hello_ok},

@@ -4,7 +4,8 @@
 /// byte-identical responses to direct driver runs, streamed progress,
 /// warm disk-cache hits across a daemon restart, graceful drain, TCP with
 /// shared-secret auth, typed cross-version errors, admission shedding
-/// (overload + deadline), the connection cap, and the server_stats scrape.
+/// (overload + deadline), the connection cap, the accept/reap race, and the
+/// server_stats scrape folded from the traced spans.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -157,7 +158,6 @@ TEST(ServeProtocol, V3PayloadRoundTrips) {
   const error_reply fut = decode_error(fw.take());
   EXPECT_EQ(fut.code, error_code::generic);
   EXPECT_EQ(fut.message, "from the future");
-  EXPECT_EQ(decode_legacy_error(encode_legacy_error("old")), "old");
 
   server_stats_reply stats;
   stats.status.jobs_submitted = 7;
@@ -250,19 +250,7 @@ TEST(ServeProtocol, V6TracePayloadRoundTrips) {
 
 TEST(ServeProtocol, V7RetainedAndQuarantineCountersRoundTrip) {
   // v7 appends the retained-tier LRU eviction count and the quarantine
-  // prune count to both stats codecs.
-  cache_stats_reply cache;
-  cache.stats.retained_networks = 3;
-  cache.stats.retained_evictions = 11;
-  cache.stats.disk_quarantine_pruned = 4;
-  cache.disk_directory = "/tmp/somewhere";
-  const cache_stats_reply cback =
-      decode_cache_stats(encode_cache_stats(cache));
-  EXPECT_EQ(cback.stats.retained_networks, 3u);
-  EXPECT_EQ(cback.stats.retained_evictions, 11u);
-  EXPECT_EQ(cback.stats.disk_quarantine_pruned, 4u);
-  EXPECT_EQ(cback.disk_directory, "/tmp/somewhere");
-
+  // prune count to the stats codec.
   server_stats_reply stats;
   stats.cache.retained_evictions = 7;
   stats.cache.disk_quarantine_pruned = 2;
@@ -288,23 +276,15 @@ TEST(ServeProtocol, RetryAfterHintRoundTripsAndDegradesPerVersion) {
   EXPECT_EQ(hinted.code, error_code::overloaded);
   EXPECT_EQ(hinted.retry_after_ms, 1234u);
   // ...and the one decoder reads every vintage: a v3/v4 payload (no
-  // trailing hint) decodes with hint 0 instead of throwing.
-  const auto v4_payload = encode_error_for_version(
-      4, error_code::overloaded, "full", 1234);
-  const error_reply v4_err = decode_error(v4_payload);
+  // trailing hint), as an older daemon sends it, decodes with hint 0
+  // instead of throwing.
+  byte_writer v4;
+  v4.u8(static_cast<std::uint8_t>(error_code::overloaded));
+  v4.str("full");
+  const error_reply v4_err = decode_error(v4.take());
   EXPECT_EQ(v4_err.code, error_code::overloaded);
-  EXPECT_EQ(v4_err.retry_after_ms, 0u);  // hint dropped for the v4 peer
-  EXPECT_LT(v4_payload.size(),
-            encode_error(error_code::overloaded, "full", 1234).size());
-  // A pre-v3 peer gets the legacy bare-string payload.
-  EXPECT_EQ(decode_legacy_error(encode_error_for_version(
-                2, error_code::overloaded, "full", 1234)),
-            "full");
-  // v5+ peers (and the future) get the full layout.
-  EXPECT_EQ(decode_error(encode_error_for_version(
-                            5, error_code::overloaded, "full", 777))
-                .retry_after_ms,
-            777u);
+  EXPECT_EQ(v4_err.message, "full");
+  EXPECT_EQ(v4_err.retry_after_ms, 0u);
 }
 
 TEST(ServeProtocol, ConstantTimeEqualCompares) {
@@ -435,7 +415,9 @@ TEST(ServeEndToEnd, ConcurrentClientsGetByteIdenticalResults) {
   // memory-cache tiers under concurrency.
   std::vector<std::thread> threads;
   std::vector<std::string> got(circuits.size());
-  std::vector<bool> ok(circuits.size(), false);
+  // char, not bool: vector<bool> packs neighbours into one word, and each
+  // client thread writes its own slot.
+  std::vector<char> ok(circuits.size(), 0);
   for (std::size_t i = 0; i < circuits.size(); ++i) {
     threads.emplace_back([&, i] {
       client cli(fx.socket_path());
@@ -504,7 +486,7 @@ TEST(ServeEndToEnd, DiskCacheSurvivesDaemonRestart) {
     ASSERT_TRUE(cold.ok);
     EXPECT_FALSE(cold.served_from_cache);
     cold_report = cold.report;
-    const auto stats = cli.cache_stats().stats;
+    const auto stats = cli.server_stats().cache;
     EXPECT_EQ(stats.disk_writes, 1u);
   }
   fx.srv->stop();  // drain the "daemon"
@@ -515,9 +497,9 @@ TEST(ServeEndToEnd, DiskCacheSurvivesDaemonRestart) {
   ASSERT_TRUE(warm.ok);
   EXPECT_TRUE(warm.served_from_cache);
   EXPECT_EQ(warm.report, cold_report);
-  const auto reply = cli.cache_stats();
-  EXPECT_EQ(reply.stats.disk_hits, 1u);   // served from the disk tier
-  EXPECT_EQ(reply.stats.full_hits, 0u);   // memory cache was cold
+  const auto reply = cli.server_stats();
+  EXPECT_EQ(reply.cache.disk_hits, 1u);   // served from the disk tier
+  EXPECT_EQ(reply.cache.full_hits, 0u);   // memory cache was cold
   EXPECT_EQ(reply.disk_directory, fx.cache_dir());
 }
 
@@ -668,8 +650,8 @@ TEST(ServeEndToEnd, TcpRejectsUnauthenticatedAndBadTokens) {
     // Any request before auth: typed auth_required, then the daemon closes.
     client cli("127.0.0.1", fx.srv->tcp_port());
     try {
-      (void)cli.status();
-      FAIL() << "unauthenticated status should have thrown";
+      (void)cli.server_stats();
+      FAIL() << "unauthenticated server_stats should have thrown";
     } catch (const service_error& e) {
       EXPECT_EQ(e.code, error_code::auth_required);
     }
@@ -696,17 +678,38 @@ TEST(ServeEndToEnd, TcpRejectsUnauthenticatedAndBadTokens) {
 TEST(ServeEndToEnd, OldClientVersionGetsTypedErrorNotAHang) {
   server_fixture fx;
   fx.start();
-  // A "v2 client": same frozen frame header, older version byte.  The v3
-  // daemon must answer with an error frame AT v2 (legacy payload) and close.
+  // A "v2 client": same frozen frame header, older version byte.  The
+  // daemon must answer with a typed unsupported_version error and close.
   raw_unix_conn conn(fx.socket_path());
   write_frame_fd(conn.fd, msg_type::ping, {}, /*version=*/2);
   const auto reply = read_frame_fd(conn.fd);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, msg_type::error);
-  EXPECT_EQ(reply->version, 2);
-  const std::string message = decode_legacy_error(reply->payload);
-  EXPECT_NE(message.find("version mismatch"), std::string::npos) << message;
+  EXPECT_EQ(reply->version, protocol_version);
+  const error_reply err = decode_error(reply->payload);
+  EXPECT_EQ(err.code, error_code::unsupported_version);
+  EXPECT_NE(err.message.find("version mismatch"), std::string::npos)
+      << err.message;
   EXPECT_FALSE(read_frame_fd(conn.fd).has_value());  // closed after
+}
+
+TEST(ServeEndToEnd, RetiredMessageNumbersGetBadRequest) {
+  // v8 retired status (2) and cache_stats (3): a peer still sending them
+  // gets a typed bad_request, and the connection stays usable.
+  server_fixture fx;
+  fx.start();
+  raw_unix_conn conn(fx.socket_path());
+  for (const std::uint8_t retired : {std::uint8_t{2}, std::uint8_t{3}}) {
+    write_frame_fd(conn.fd, static_cast<msg_type>(retired), {});
+    const auto reply = read_frame_fd(conn.fd);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, msg_type::error);
+    EXPECT_EQ(decode_error(reply->payload).code, error_code::bad_request);
+  }
+  write_frame_fd(conn.fd, msg_type::ping, {});
+  const auto pong = read_frame_fd(conn.fd);
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->type, msg_type::pong);
 }
 
 TEST(ServeEndToEnd, OverloadShedsWithTypedErrorWhileAcceptedWorkCompletes) {
@@ -826,6 +829,53 @@ TEST(ServeEndToEnd, ConnectionCapBouncesWithTypedError) {
   EXPECT_GE(fx.srv->stats().rejected_conns, 1u);
 }
 
+TEST(ServeEndToEnd, ConnectCloseStormOnBothListenersWhileScraping) {
+  // Each listener's accept loop reaps connections the other published, so
+  // a connection that finishes at once must never be reaped before its
+  // handler thread is assigned: destroying a joinable std::thread
+  // terminates the daemon.  Hundreds of connect/close pairs on both
+  // transports at once, with a scrape running beside them.
+  server_fixture fx;
+  server_options options;
+  options.socket_path = fx.socket_path();
+  options.listen_address = "127.0.0.1:0";
+  options.threads = 2;
+  fx.start_with(options);
+  const std::uint16_t port = fx.srv->tcp_port();
+  ASSERT_NE(port, 0);
+
+  constexpr int pairs = 300;
+  std::atomic<bool> storming{true};
+  std::thread unix_storm([&] {
+    for (int i = 0; i < pairs; ++i) client c(fx.socket_path());
+  });
+  std::thread tcp_storm([&] {
+    for (int i = 0; i < pairs; ++i) client c("127.0.0.1", port);
+  });
+  std::thread scraper([&] {
+    client c(fx.socket_path());
+    while (storming.load()) (void)c.server_stats();
+  });
+  unix_storm.join();
+  tcp_storm.join();
+  storming.store(false);
+  scraper.join();
+
+  {
+    client after(fx.socket_path());
+    EXPECT_TRUE(after.ping());
+  }
+  // Handlers notice end-of-stream asynchronously; wait for all of them.
+  std::uint64_t active = 1;
+  for (int attempt = 0; attempt < 500 && active != 0; ++attempt) {
+    active = fx.srv->status().active_connections;
+    if (active != 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_EQ(active, 0u);
+}
+
 TEST(ServeEndToEnd, ServerStatsReportsCountersAndLatencyHistograms) {
   server_fixture fx;
   fx.start();
@@ -909,14 +959,13 @@ TEST(ServeEndToEnd, TracedSubmitCollectsSpansThatAddUp) {
   ASSERT_FALSE(reply.spans.empty());
 
   // Sorted by start, and every expected span kind present exactly once
-  // (cold run: queue_wait, runner_queue, each live stage, request_total).
+  // (cold run: queue_wait, each live stage, request_total).
   const auto count = [&](const std::string& name) {
     std::size_t n = 0;
     for (const auto& s : reply.spans) n += (s.name == name);
     return n;
   };
   EXPECT_EQ(count("queue_wait"), 1u);
-  EXPECT_EQ(count("runner_queue"), 1u);
   EXPECT_EQ(count("request_total"), 1u);
   EXPECT_EQ(count("stage:optimize"), 1u);
   for (std::size_t i = 1; i < reply.spans.size(); ++i) {
@@ -950,6 +999,62 @@ TEST(ServeEndToEnd, TracedSubmitCollectsSpansThatAddUp) {
   // The scrape counts the recorded spans.
   const server_stats_reply stats = cli.server_stats();
   EXPECT_GE(stats.trace_spans_recorded, reply.spans.size());
+}
+
+TEST(ServeEndToEnd, ScrapeHistogramsFoldTheTracedSpans) {
+  // The scrape's histograms and a request's trace are one record: every
+  // sample is written from the same start and duration as its span, and a
+  // delta's end-to-end latency lands in request_total like a submit's.
+  server_fixture fx;
+  fx.start();
+  client cli(fx.socket_path());
+
+  synth_request base = make_request_for_spec("c432");
+  base.trace_hi = 7;
+  base.trace_lo = 8;
+  ASSERT_TRUE(cli.submit(base).ok);
+
+  const aig base_net = load_request_circuit(base);
+  aig::node_index target = 0;
+  for (aig::node_index n = 0; n < base_net.size(); ++n) {
+    if (base_net.is_gate(n)) target = n;
+  }
+  const auto tok = [](const signal s) {
+    return std::string(s.is_complemented() ? "!" : "") + "n" +
+           std::to_string(s.index());
+  };
+  synth_delta_request dreq;
+  dreq.base = base;
+  dreq.base.trace_lo = 9;
+  dreq.base_content_hash = base_net.content_hash();
+  dreq.edit_text = "replace n" + std::to_string(target) + " " +
+                   tok(base_net.fanin0(target)) + " " +
+                   tok(!base_net.fanin1(target)) + "\n";
+  ASSERT_TRUE(cli.submit_delta(dreq).ok);
+
+  const trace_reply submit_trace = cli.trace({7, 8});
+  const trace_reply delta_trace = cli.trace({7, 9});
+  const server_stats_reply stats = cli.server_stats();
+  for (const char* name :
+       {"queue_wait", "request_total", "stage:optimize", "stage:map"}) {
+    std::uint64_t spans = 0;
+    double span_ms = 0.0;
+    for (const trace_reply* t : {&submit_trace, &delta_trace}) {
+      for (const auto& sp : t->spans) {
+        if (sp.name != name) continue;
+        ++spans;
+        span_ms += static_cast<double>(sp.dur_us) / 1000.0;
+      }
+    }
+    const histogram_snapshot* hist = nullptr;
+    for (const auto& h : stats.histograms) {
+      if (h.name == name) hist = &h;
+    }
+    ASSERT_NE(hist, nullptr) << name;
+    EXPECT_EQ(hist->count, spans) << name;
+    EXPECT_DOUBLE_EQ(hist->sum_ms, span_ms) << name;
+  }
+  for (const auto& h : stats.histograms) EXPECT_NE(h.name, "eco_total");
 }
 
 TEST(ServeEndToEnd, UntracedSubmitCollectsNothingAndUnknownIdIsEmpty) {
@@ -1012,7 +1117,7 @@ TEST(ServeEndToEnd, TraceOutDirExportsChromeJsonPerTracedRequest) {
 TEST(ServeEndToEnd, RetainedByteBudgetEvictsAndSurfacesInScrape) {
   // A deliberately starved retained-network budget: every new session
   // evicts the previous one (the most recent entry is always kept), and
-  // the v7 counters show up in cache_stats and the Prometheus scrape.
+  // the v7 counters show up in the stats reply and the Prometheus scrape.
   server_fixture fx;
   {
     server_options options;
@@ -1046,9 +1151,9 @@ TEST(ServeEndToEnd, RetainedByteBudgetEvictsAndSurfacesInScrape) {
     ASSERT_TRUE(cli.submit_delta(dreq).ok) << name;
   }
 
-  const cache_stats_reply cache = cli.cache_stats();
-  EXPECT_GT(cache.stats.retained_evictions, 0u);
-  EXPECT_LE(cache.stats.retained_networks, 1u);  // budget keeps only newest
+  const flow::batch_cache_stats cache = cli.server_stats().cache;
+  EXPECT_GT(cache.retained_evictions, 0u);
+  EXPECT_LE(cache.retained_networks, 1u);  // budget keeps only newest
 
   const std::string text = format_server_stats_text(cli.server_stats());
   EXPECT_NE(text.find("xsfq_eco_retained_evictions_total"),
