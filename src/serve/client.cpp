@@ -25,13 +25,7 @@ namespace {
                       err.retry_after_ms);
 }
 
-}  // namespace
-
-client::client(const std::string& socket_path) {
-  if (fault::fire("client.connect.fail")) {
-    throw std::runtime_error("serve: injected connect failure "
-                             "(client.connect.fail)");
-  }
+int dial_unix(const std::string& socket_path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (socket_path.size() >= sizeof(addr.sun_path)) {
@@ -39,26 +33,22 @@ client::client(const std::string& socket_path) {
   }
   std::strncpy(addr.sun_path, socket_path.c_str(),
                sizeof(addr.sun_path) - 1);
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd_ < 0) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
     throw std::runtime_error(std::string("serve: socket failed: ") +
                              std::strerror(errno));
   }
-  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     const std::string what = "serve: cannot connect to daemon at " +
                              socket_path + ": " + std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
+    ::close(fd);
     throw std::runtime_error(what);
   }
+  return fd;
 }
 
-client::client(const std::string& host, std::uint16_t port) {
-  if (fault::fire("client.connect.fail")) {
-    throw std::runtime_error("serve: injected connect failure "
-                             "(client.connect.fail)");
-  }
+int dial_tcp(const std::string& host, std::uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
@@ -73,26 +63,52 @@ client::client(const std::string& host, std::uint16_t port) {
   }
   std::string last_error = "no usable address";
   for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd_ = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd_ < 0) {
+    const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    if (fd < 0) {
       last_error = std::strerror(errno);
       continue;
     }
-    if (::connect(fd_, ai->ai_addr, ai->ai_addrlen) == 0) {
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
       // Request frames are small and latency-sensitive; don't batch them.
       const int one = 1;
-      ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       ::freeaddrinfo(res);
-      return;
+      return fd;
     }
     last_error = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
+    ::close(fd);
   }
   ::freeaddrinfo(res);
   throw std::runtime_error("serve: cannot connect to daemon at " + host + ":" +
                            service + ": " + last_error);
 }
+
+int dial(const endpoint& ep) {
+  if (fault::fire("client.connect.fail")) {
+    throw std::runtime_error("serve: injected connect failure "
+                             "(client.connect.fail)");
+  }
+  return ep.socket_path.empty() ? dial_tcp(ep.host, ep.port)
+                                : dial_unix(ep.socket_path);
+}
+
+}  // namespace
+
+client::client(const endpoint& ep) : fd_(dial(ep)) {
+  if (ep.auth_token.empty()) return;
+  try {
+    authenticate(ep.auth_token);
+  } catch (...) {
+    ::close(fd_);  // a throwing constructor never reaches the destructor
+    throw;
+  }
+}
+
+client::client(const std::string& socket_path)
+    : client(endpoint{socket_path, "", 0, ""}) {}
+
+client::client(const std::string& host, std::uint16_t port)
+    : client(endpoint{"", host, port, ""}) {}
 
 client::~client() {
   if (fd_ >= 0) ::close(fd_);
@@ -106,7 +122,7 @@ void client::set_receive_timeout_ms(int timeout_ms) {
   }
   // 0/negative clears the deadline (timeval{0,0} = block forever).  A read
   // that trips the deadline surfaces as io_timeout_error out of
-  // read_frame_fd (EAGAIN mapping), which resilient_client treats as a
+  // read_frame_fd (EAGAIN mapping), which fleet_client treats as a
   // reconnect-and-resubmit signal.
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }

@@ -1,11 +1,15 @@
 #pragma once
 /// \file client.hpp
-/// \brief Client side of the serve protocol (xsfq_client's engine).
+/// \brief One connection to a running xsfq_served daemon: the transport
+/// that hides the wire format.
 ///
-/// One `client` is one connection to a running xsfq_served daemon, over
-/// either the Unix-domain socket or TCP.  Requests are synchronous: submit()
-/// writes the request frame and consumes response frames — streamed progress
-/// events first, when requested — until the terminal result arrives.
+/// A `client` dials one `endpoint` (Unix-domain socket or TCP, presenting
+/// the endpoint's auth token when it has one) and runs synchronous
+/// requests over it: submit() writes the request frame and consumes
+/// response frames — streamed progress events first, when requested —
+/// until the terminal result arrives.  It never retries; recovery across
+/// reconnects, backoff and failover lives one layer up in
+/// serve::fleet_client (fleet.hpp), which holds one client per endpoint.
 ///
 /// Error surface: a server-reported per-request failure comes back as
 /// synth_response{ok=false}; a typed protocol-level rejection (auth
@@ -24,16 +28,27 @@
 
 namespace xsfq::serve {
 
+/// Where and how to dial a daemon.
+struct endpoint {
+  std::string socket_path;  ///< Unix socket; used when non-empty
+  std::string host;         ///< TCP host when socket_path is empty
+  std::uint16_t port = 0;
+  std::string auth_token;   ///< presented right after each dial when set
+};
+
 class client {
  public:
-  /// Connects to the daemon's Unix socket.  Throws std::runtime_error when
-  /// the daemon is not reachable at `socket_path`.
+  /// Dials `ep` and, when it carries a token, authenticates.  Throws
+  /// std::runtime_error when the daemon is not reachable and
+  /// service_error{auth_failed} when the token is refused.
+  explicit client(const endpoint& ep);
+
+  /// Connects to the daemon's Unix socket.
   explicit client(const std::string& socket_path);
 
-  /// Connects over TCP.  If the daemon was started with an auth token, every
-  /// request other than hello() will be rejected until authenticate()
-  /// succeeds on this connection.  Throws std::runtime_error when the
-  /// daemon is not reachable.
+  /// Connects over TCP without authenticating: if the daemon was started
+  /// with an auth token, every request other than hello() is rejected until
+  /// authenticate() succeeds on this connection.
   client(const std::string& host, std::uint16_t port);
 
   ~client();
@@ -44,7 +59,7 @@ class client {
   /// response that takes longer than `timeout_ms` throws io_timeout_error
   /// instead of blocking forever on a hung daemon.  <= 0 restores the
   /// default (wait forever).  The connection is NOT safely reusable after a
-  /// timeout mid-response — reconnect and resubmit (resilient_client does).
+  /// timeout mid-response — reconnect and resubmit (fleet_client does).
   void set_receive_timeout_ms(int timeout_ms);
 
   using progress_fn = std::function<void(const progress_event&)>;

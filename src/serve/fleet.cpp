@@ -18,6 +18,7 @@
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace xsfq::serve {
 
@@ -25,14 +26,30 @@ namespace {
 
 using clock_type = std::chrono::steady_clock;
 
+// Fixed tuning: seed of the jitter stream (drills replay identically),
+// jitter fraction of every backoff and probe interval, ring points per
+// endpoint, and the latency quantile the hedge deadline scales.
+constexpr std::uint64_t jitter_seed = 0x5eedc0deull;
+constexpr double jitter_fraction = 0.25;
+constexpr unsigned ring_vnodes = 64;
+constexpr double hedge_quantile = 0.99;
+
 double ms_since(clock_type::time_point start) {
   return std::chrono::duration<double, std::milli>(clock_type::now() - start)
       .count();
 }
 
-/// Same classification resilient_client uses: shedding and lifecycle races
-/// are worth another attempt (on another shard, here); everything else
-/// indicts the request.
+/// Attaches the calling thread's installed trace id, so a failover line
+/// correlates with the request it delayed.
+log::line& with_trace(log::line& l) {
+  const trace::trace_id id = trace::current();
+  if (id.valid()) l.kv("trace_id", trace::to_hex(id));
+  return l;
+}
+
+/// Shedding and lifecycle races are worth another attempt; everything else
+/// (bad_request, auth_failed, unknown_base, bad_edit, ...) indicts the
+/// request or the credentials, which a retry cannot fix.
 bool retryable_service_error(error_code code) {
   switch (code) {
     case error_code::overloaded:
@@ -178,8 +195,8 @@ std::vector<std::string> make_ids(const std::vector<endpoint>& endpoints) {
 fleet_client::fleet_client(std::vector<endpoint> endpoints,
                            fleet_options options)
     : options_(options),
-      ring_(make_ids(endpoints), options.vnodes),
-      rng_state_(options.policy.seed) {
+      ring_(make_ids(endpoints), ring_vnodes),
+      rng_state_(jitter_seed) {
   shards_.reserve(endpoints.size());
   for (endpoint& ep : endpoints) {
     auto sh = std::make_unique<shard>();
@@ -215,19 +232,16 @@ std::vector<std::string> fleet_client::owners_for(std::uint64_t key) const {
   return ids;
 }
 
-client& fleet_client::shard_connection(shard& sh) {
-  if (sh.conn) return *sh.conn;
-  std::unique_ptr<client> conn;
-  if (!sh.ep.socket_path.empty()) {
-    conn = std::make_unique<client>(sh.ep.socket_path);
-  } else {
-    conn = std::make_unique<client>(sh.ep.host, sh.ep.port);
-  }
-  if (!sh.ep.auth_token.empty()) {
-    conn->authenticate(sh.ep.auth_token);
-  }
-  sh.conn = std::move(conn);
+client& fleet_client::connect(shard& sh, int timeout_ms) {
+  if (!sh.conn) sh.conn = std::make_unique<client>(sh.ep);
+  sh.conn->set_receive_timeout_ms(timeout_ms);
   return *sh.conn;
+}
+
+int fleet_client::control_timeout_ms() const {
+  return options_.policy.request_timeout_ms > 0
+             ? options_.policy.request_timeout_ms
+             : 5000;
 }
 
 void fleet_client::mark_transport_failure(shard& sh) {
@@ -247,16 +261,17 @@ void fleet_client::mark_success(shard& sh) {
   sh.health = endpoint_health::healthy;
 }
 
+double fleet_client::jittered(double ms) {
+  // Deterministic stream so a drill replays identically; the jitter itself
+  // decorrelates a fleet of clients that all watched the same failure.
+  rng jitter_rng(rng_state_);
+  rng_state_ = jitter_rng();  // advance the stream per draw
+  const double u = jitter_rng.uniform() * 2.0 - 1.0;  // [-1, 1)
+  return ms * (1.0 + jitter_fraction * u);
+}
+
 void fleet_client::schedule_probe(shard& sh) {
-  // Seeded-jitter probe interval (±policy.jitter), decorrelating a fleet of
-  // clients that all watched the same shard die.
-  double ms = static_cast<double>(options_.probe_interval_ms);
-  if (options_.policy.jitter > 0.0) {
-    rng jitter_rng(rng_state_);
-    rng_state_ = jitter_rng();
-    const double u = jitter_rng.uniform() * 2.0 - 1.0;  // [-1, 1)
-    ms *= 1.0 + options_.policy.jitter * u;
-  }
+  const double ms = jittered(static_cast<double>(options_.probe_interval_ms));
   sh.next_probe =
       clock_type::now() + std::chrono::milliseconds(
                               static_cast<long>(std::max(ms, 1.0)));
@@ -275,7 +290,7 @@ void fleet_client::run_due_probes() {
     if (!fault::fire("fleet.probe.fail")) {
       try {
         sh.conn.reset();  // probe on a fresh dial: the old socket is suspect
-        ok = shard_connection(sh).ping();
+        ok = connect(sh, control_timeout_ms()).ping();
       } catch (const std::exception&) {
         ok = false;
       }
@@ -308,17 +323,14 @@ void fleet_client::run_due_probes() {
 }
 
 void fleet_client::backoff(unsigned sweep, std::uint32_t server_hint_ms) {
+  // Capped exponential: initial * 2^sweep, saturating at max_backoff_ms.
   double ms = static_cast<double>(options_.policy.initial_backoff_ms);
   for (unsigned i = 0; i < sweep && ms < options_.policy.max_backoff_ms; ++i) {
     ms *= 2.0;
   }
-  ms = std::min(ms, static_cast<double>(options_.policy.max_backoff_ms));
-  if (options_.policy.jitter > 0.0) {
-    rng jitter_rng(rng_state_);
-    rng_state_ = jitter_rng();
-    const double u = jitter_rng.uniform() * 2.0 - 1.0;
-    ms *= 1.0 + options_.policy.jitter * u;
-  }
+  ms = jittered(
+      std::min(ms, static_cast<double>(options_.policy.max_backoff_ms)));
+  // The server knows its backlog better than our exponential guess does.
   ms = std::max(ms, static_cast<double>(server_hint_ms));
   if (ms >= 1.0) {
     std::this_thread::sleep_for(
@@ -327,11 +339,8 @@ void fleet_client::backoff(unsigned sweep, std::uint32_t server_hint_ms) {
 }
 
 double fleet_client::hedge_deadline_ms() const {
-  if (options_.hedge_quantile <= 0.0 || shards_.size() < 2 ||
-      latency_.count() < options_.hedge_min_samples) {
-    return 0.0;
-  }
-  const double q = latency_.quantile_ms(options_.hedge_quantile);
+  if (latency_.count() < options_.hedge_min_samples) return 0.0;
+  const double q = latency_.quantile_ms(hedge_quantile);
   double deadline =
       std::max(options_.hedge_floor_ms, q * options_.hedge_multiplier);
   if (options_.policy.request_timeout_ms > 0) {
@@ -341,8 +350,6 @@ double fleet_client::hedge_deadline_ms() const {
   return deadline;
 }
 
-void fleet_client::record_latency(double ms) { latency_.record(ms); }
-
 template <typename Fn>
 synth_response fleet_client::with_failover(std::uint64_t key, Fn&& send) {
   ++counters_.requests;
@@ -350,43 +357,47 @@ synth_response fleet_client::with_failover(std::uint64_t key, Fn&& send) {
   bool hedge_pending = false;
   std::uint64_t attempt_index = 0;
   std::exception_ptr last_error;
+  std::vector<shard*> targets;
   for (unsigned sweep = 0; sweep <= options_.policy.max_retries; ++sweep) {
     run_due_probes();
     // Down endpoints are skipped — unless every owner is down, where trying
     // anyway beats failing without a single packet sent.
-    bool all_down = true;
+    targets.clear();
     for (const std::size_t o : owners) {
       if (shards_[o]->health != endpoint_health::down) {
-        all_down = false;
-        break;
+        targets.push_back(shards_[o].get());
       }
     }
+    if (targets.empty()) {
+      for (const std::size_t o : owners) targets.push_back(shards_[o].get());
+    }
     std::uint32_t sweep_hint_ms = 0;
-    for (const std::size_t o : owners) {
-      shard& sh = *shards_[o];
-      if (sh.health == endpoint_health::down && !all_down) continue;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      shard& sh = *targets[t];
       // The first attempt of a request runs under the adaptive hedge
-      // deadline (when armed); a request stuck past it is abandoned and
-      // re-sent to the next replica.  The slow shard finishes and caches
-      // the byte-identical result on its own time.
-      const double hedge_ms = attempt_index == 0 ? hedge_deadline_ms() : 0.0;
+      // deadline (when armed) if a later owner in this sweep can take
+      // over; a request stuck past it is abandoned and re-sent there.  The
+      // slow shard finishes and caches the byte-identical result on its
+      // own time.
+      const double hedge_ms = attempt_index == 0 && t + 1 < targets.size()
+                                  ? hedge_deadline_ms()
+                                  : 0.0;
       ++attempt_index;
       const char* reason = nullptr;
       try {
         if (fault::fire("fleet.route.down")) {
           throw protocol_error("injected endpoint failure (fleet.route.down)");
         }
-        client& c = shard_connection(sh);
-        int timeout_ms = options_.policy.request_timeout_ms;
-        if (hedge_ms > 0.0) {
-          timeout_ms = std::max(1, static_cast<int>(std::ceil(hedge_ms)));
-        }
-        c.set_receive_timeout_ms(timeout_ms);
+        client& c = connect(
+            sh, hedge_ms > 0.0
+                    ? std::max(1, static_cast<int>(std::ceil(hedge_ms)))
+                    : options_.policy.request_timeout_ms);
         ++sh.requests;
         const auto start = clock_type::now();
         synth_response r = send(c);
-        record_latency(ms_since(start));
+        latency_.record(ms_since(start));
         mark_success(sh);
+        last_answered_ = &sh;
         if (hedge_pending) ++counters_.hedge_wins;
         return r;
       } catch (const service_error& e) {
@@ -427,7 +438,8 @@ synth_response fleet_client::with_failover(std::uint64_t key, Fn&& send) {
       }
       ++counters_.failovers;
       if (log::enabled(log::level::warn)) {
-        log::line(log::level::warn, "fleet.failover")
+        log::line l(log::level::warn, "fleet.failover");
+        with_trace(l)
             .kv("endpoint", sh.id)
             .kv("reason", reason)
             .kv("health", to_string(sh.health))
@@ -440,15 +452,21 @@ synth_response fleet_client::with_failover(std::uint64_t key, Fn&& send) {
   throw protocol_error("fleet: no owner reachable for key");
 }
 
-synth_response fleet_client::submit(const synth_request& req) {
-  return with_failover(routing_key(req),
-                       [&](client& c) { return c.submit(req); });
+synth_response fleet_client::submit(const synth_request& req,
+                                    const client::progress_fn& progress) {
+  // A one-member ring sends every key to its only member: skip loading and
+  // hashing the circuit.
+  const std::uint64_t key = shards_.size() == 1 ? 0 : routing_key(req);
+  return with_failover(key,
+                       [&](client& c) { return c.submit(req, progress); });
 }
 
-synth_response fleet_client::submit_delta(const synth_delta_request& req) {
+synth_response fleet_client::submit_delta(
+    const synth_delta_request& req, const client::progress_fn& progress) {
   try {
-    return with_failover(req.base_content_hash,
-                         [&](client& c) { return c.submit_delta(req); });
+    return with_failover(req.base_content_hash, [&](client& c) {
+      return c.submit_delta(req, progress);
+    });
   } catch (const service_error& e) {
     if (e.code != error_code::unknown_base) throw;
     // A failed-over shard cannot reconstruct the base this delta names.
@@ -476,8 +494,22 @@ synth_response fleet_client::submit_delta(const synth_delta_request& req) {
           .kv("base_hash", req.base_content_hash)
           .kv("edited_hash", base.content_hash());
     }
-    return with_failover(base.content_hash(),
-                         [&](client& c) { return c.submit(full); });
+    return with_failover(base.content_hash(), [&](client& c) {
+      return c.submit(full, progress);
+    });
+  }
+}
+
+trace_reply fleet_client::trace(const trace_request& req) {
+  if (last_answered_ == nullptr) {
+    throw protocol_error("fleet: trace before any answered request");
+  }
+  shard& sh = *last_answered_;
+  try {
+    return connect(sh, control_timeout_ms()).trace(req);
+  } catch (const std::exception&) {
+    sh.conn.reset();
+    throw;
   }
 }
 
@@ -487,16 +519,17 @@ fleet_stats fleet_client::stats() {
   for (const std::unique_ptr<shard>& sp : shards_) {
     shard& sh = *sp;
     try {
-      client& c = shard_connection(sh);
-      c.set_receive_timeout_ms(options_.policy.request_timeout_ms > 0
-                                   ? options_.policy.request_timeout_ms
-                                   : 5000);
-      merge_stats(out.merged, c.server_stats());
+      merge_stats(out.merged, connect(sh, control_timeout_ms()).server_stats());
       ++out.endpoints_up;
       mark_success(sh);
-    } catch (const std::exception&) {
+    } catch (const std::exception& e) {
       sh.conn.reset();
       mark_transport_failure(sh);
+      if (log::enabled(log::level::warn)) {
+        log::line(log::level::warn, "fleet.stats.fail")
+            .kv("endpoint", sh.id)
+            .kv("what", e.what());
+      }
     }
   }
   out.endpoints = endpoint_statuses();

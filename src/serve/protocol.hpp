@@ -165,7 +165,7 @@ struct io_timeout_error : protocol_error {
 struct service_error : protocol_error {
   error_code code;
   /// v5: server's backoff hint in ms (0 = none).  Non-zero on
-  /// overloaded/too_many_connections; resilient_client honors it.
+  /// overloaded/too_many_connections; fleet_client honors it.
   std::uint32_t retry_after_ms = 0;
   service_error(error_code c, const std::string& message,
                 std::uint32_t retry_after = 0)

@@ -32,22 +32,6 @@ void log_histogram::record(double ms) {
   }
 }
 
-void log_histogram::merge(const log_histogram& other) {
-  for (std::size_t i = 0; i < num_buckets; ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  sum_ms_ += other.sum_ms_;
-  max_ms_ = std::max(max_ms_, other.max_ms_);
-}
-
-void log_histogram::reset() {
-  buckets_.fill(0);
-  count_ = 0;
-  sum_ms_ = 0.0;
-  max_ms_ = 0.0;
-}
-
 double log_histogram::quantile_ms(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -66,19 +50,6 @@ log_histogram& histogram_set::at(std::string_view name) {
   }
   entries_.emplace_back(std::string(name), log_histogram{});
   return entries_.back().second;
-}
-
-void histogram_set::merge_into(histogram_set& target) const {
-  for (const auto& [key, hist] : entries_) {
-    target.at(key).merge(hist);
-  }
-}
-
-void histogram_set::reset_counts() {
-  for (auto& [key, hist] : entries_) {
-    (void)key;
-    hist.reset();
-  }
 }
 
 }  // namespace xsfq

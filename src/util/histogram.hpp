@@ -6,8 +6,7 @@
 /// milliseconds: bucket i counts samples in [2^i, 2^(i+1)) microseconds
 /// (bucket 0 also absorbs everything below 1 us, the last bucket everything
 /// above its lower bound).  Recording is a branch-free index computation
-/// plus one increment — cheap enough to sit on every request — and the
-/// fixed layout makes merging a word-wise add.
+/// plus one increment — cheap enough to sit on every request.
 ///
 /// Neither class is internally synchronized: the owner either confines an
 /// instance to one thread or guards it with its own lock (src/serve/server
@@ -24,7 +23,7 @@
 namespace xsfq {
 
 /// Log-bucket latency histogram over milliseconds.  Value semantics; fixed
-/// footprint (no allocation after construction); merge is element-wise.
+/// footprint (no allocation after construction).
 class log_histogram {
  public:
   /// Bucket count: 1 us (2^0 us) up to ~2.2 minutes (2^27 us), which brackets
@@ -42,10 +41,6 @@ class log_histogram {
 
   /// Adds one sample.  O(1), no allocation.
   void record(double ms);
-  /// Adds every sample of `other` into this histogram (bucket-wise).
-  void merge(const log_histogram& other);
-  /// Zeroes all counts; keeps the fixed storage (recycling entry point).
-  void reset();
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum_ms() const { return sum_ms_; }
@@ -71,15 +66,11 @@ class log_histogram {
 /// "stage:optimize", ...).  Lookup is linear — the set holds a handful of
 /// stage names, and `at()` sits on the request path where a hash map's
 /// allocation churn would cost more than the scan.  Insertion order is
-/// stable, so merged snapshots list histograms in first-recorded order.
+/// stable, so snapshots list histograms in first-recorded order.
 class histogram_set {
  public:
   /// Find-or-create the histogram named `name`.
   log_histogram& at(std::string_view name);
-  /// Merges every named histogram into `target` (creating names as needed).
-  void merge_into(histogram_set& target) const;
-  /// Resets every histogram's counts; keeps the names (recycling).
-  void reset_counts();
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] const std::vector<std::pair<std::string, log_histogram>>&

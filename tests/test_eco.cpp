@@ -19,7 +19,7 @@
 #include "benchgen/registry.hpp"
 #include "flow/batch_runner.hpp"
 #include "serve/client.hpp"
-#include "serve/resilient_client.hpp"
+#include "serve/fleet.hpp"
 #include "serve/server.hpp"
 #include "serve/synth_service.hpp"
 
@@ -629,17 +629,17 @@ TEST(EcoEndToEnd, DeltaSurvivesDaemonRestartThroughRetryingClient) {
 
   endpoint ep;
   ep.socket_path = options.socket_path;
-  retry_policy policy;
-  policy.max_retries = 5;
-  policy.initial_backoff_ms = 10;
-  resilient_client rcli(ep, policy);
-  ASSERT_TRUE(rcli.submit(base).ok);
+  fleet_options fopts;
+  fopts.policy.max_retries = 5;
+  fopts.policy.initial_backoff_ms = 10;
+  fleet_client fleet({ep}, fopts);
+  ASSERT_TRUE(fleet.submit(base).ok);
 
   synth_delta_request dreq;
   dreq.base = base;
   dreq.base_content_hash = base_net.content_hash();
   dreq.edit_text = flip_gate_edit(base_net);
-  const synth_response eco = rcli.submit_delta(dreq);
+  const synth_response eco = fleet.submit_delta(dreq);
   ASSERT_TRUE(eco.ok);
 
   // Restart the daemon: the retained-network tier dies with the process and
@@ -650,11 +650,15 @@ TEST(EcoEndToEnd, DeltaSurvivesDaemonRestartThroughRetryingClient) {
   srv.reset();
   srv = std::make_unique<server>(options);
 
-  const synth_response replayed = rcli.submit_delta(dreq);
+  const synth_response replayed = fleet.submit_delta(dreq);
   ASSERT_TRUE(replayed.ok);
   EXPECT_EQ(replayed.report, eco.report);
   EXPECT_EQ(replayed.content_hash, eco.content_hash);
-  EXPECT_GE(rcli.reconnects(), 2u);
+  // Two sends before the restart, then the send on the dead connection
+  // and the resend.
+  EXPECT_GE(fleet.endpoint_statuses()[0].requests, 4u);
+  EXPECT_GE(fleet.counters().failovers, 1u);
+  EXPECT_EQ(fleet.counters().eco_full_fallbacks, 0u);
 
   client fresh(options.socket_path);
   const server_stats_reply stats = fresh.server_stats();

@@ -26,7 +26,7 @@
 #include "flow/disk_cache.hpp"
 #include "flow/flow.hpp"
 #include "serve/client.hpp"
-#include "serve/resilient_client.hpp"
+#include "serve/fleet.hpp"
 #include "serve/server.hpp"
 #include "serve/synth_service.hpp"
 
@@ -348,6 +348,12 @@ struct raw_unix_conn {
   ~raw_unix_conn() { ::close(fd); }
 };
 
+endpoint unix_endpoint(const std::string& socket_path) {
+  endpoint ep;
+  ep.socket_path = socket_path;
+  return ep;
+}
+
 TEST(FaultServe, ConnectionResetMidResponseRecoveredByteIdentically) {
   fault_reset guard;
   temp_dir dir;
@@ -369,18 +375,16 @@ TEST(FaultServe, ConnectionResetMidResponseRecoveredByteIdentically) {
   // The daemon's next response write "resets" the connection; the retrying
   // client must resubmit and land the byte-identical (cached) result.
   fault::arm("serve.send.reset");
-  endpoint ep;
-  ep.socket_path = options.socket_path;
-  retry_policy policy;
-  policy.max_retries = 4;
-  policy.initial_backoff_ms = 5;
-  resilient_client rcli(ep, policy);
-  const synth_response recovered = rcli.submit(req);
+  fleet_options fopts;
+  fopts.policy.max_retries = 4;
+  fopts.policy.initial_backoff_ms = 5;
+  fleet_client fleet({unix_endpoint(options.socket_path)}, fopts);
+  const synth_response recovered = fleet.submit(req);
   fault::disarm();
   ASSERT_TRUE(recovered.ok);
   EXPECT_EQ(recovered.report, expected_report);
-  EXPECT_GE(rcli.retries(), 1u);
-  EXPECT_GE(rcli.reconnects(), 2u);
+  EXPECT_GE(fleet.counters().failovers, 1u);
+  EXPECT_GE(fleet.endpoint_statuses()[0].requests, 2u);
   EXPECT_EQ(fault::total_fired(), 1u);
 }
 
@@ -493,17 +497,16 @@ TEST(FaultServe, InjectedConnectFailureRetriedTransparently) {
   fault::arm("client.connect.fail");
   EXPECT_THROW({ client direct(options.socket_path); }, std::runtime_error);
 
-  fault::arm("client.connect.fail");  // re-arm: the resilient path eats it
-  endpoint ep;
-  ep.socket_path = options.socket_path;
-  retry_policy policy;
-  policy.max_retries = 3;
-  policy.initial_backoff_ms = 5;
-  resilient_client rcli(ep, policy);
-  EXPECT_TRUE(rcli.ping());
+  fault::arm("client.connect.fail");  // re-arm: the retrying path eats it
+  fleet_options fopts;
+  fopts.policy.max_retries = 3;
+  fopts.policy.initial_backoff_ms = 5;
+  fleet_client fleet({unix_endpoint(options.socket_path)}, fopts);
+  EXPECT_TRUE(fleet.submit(make_request_for_spec("c432")).ok);
   fault::disarm();
-  EXPECT_EQ(rcli.retries(), 1u);
-  EXPECT_EQ(rcli.reconnects(), 1u);  // the failed dial never counted
+  EXPECT_EQ(fleet.counters().failovers, 1u);
+  // The failed dial never reached the endpoint.
+  EXPECT_EQ(fleet.endpoint_statuses()[0].requests, 1u);
 }
 
 TEST(FaultServe, DaemonRestartMidSessionIsTransparentOverTcpWithAuth) {
@@ -522,15 +525,15 @@ TEST(FaultServe, DaemonRestartMidSessionIsTransparentOverTcpWithAuth) {
   ep.host = "127.0.0.1";
   ep.port = port;
   ep.auth_token = "hunter2";
-  retry_policy policy;
-  policy.max_retries = 6;
-  policy.initial_backoff_ms = 10;
-  resilient_client rcli(ep, policy);
+  fleet_options fopts;
+  fopts.policy.max_retries = 6;
+  fopts.policy.initial_backoff_ms = 10;
+  fleet_client fleet({ep}, fopts);
 
   const synth_request req = make_request_for_spec("c432");
-  const synth_response cold = rcli.submit(req);
+  const synth_response cold = fleet.submit(req);
   ASSERT_TRUE(cold.ok);
-  EXPECT_EQ(rcli.reconnects(), 1u);
+  EXPECT_EQ(fleet.endpoint_statuses()[0].requests, 1u);
 
   // Kill and restart the daemon on the same port and cache directory.  The
   // client's live connection is now dead; the next request must reconnect,
@@ -540,12 +543,13 @@ TEST(FaultServe, DaemonRestartMidSessionIsTransparentOverTcpWithAuth) {
   options.listen_address = "127.0.0.1:" + std::to_string(port);
   srv = std::make_unique<server>(options);
 
-  const synth_response warm = rcli.submit(req);
+  const synth_response warm = fleet.submit(req);
   ASSERT_TRUE(warm.ok);
   EXPECT_EQ(warm.report, cold.report);
   EXPECT_TRUE(warm.served_from_cache);
-  EXPECT_GE(rcli.reconnects(), 2u);
-  EXPECT_GE(rcli.retries(), 1u);
+  // The cold send, the send on the dead connection, and the resend.
+  EXPECT_GE(fleet.endpoint_statuses()[0].requests, 3u);
+  EXPECT_GE(fleet.counters().failovers, 1u);
 }
 
 }  // namespace

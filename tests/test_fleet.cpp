@@ -1,8 +1,10 @@
-/// Tests for the sharded fleet client (serve/fleet.hpp) against real
+/// Tests for the retrying fleet client (serve/fleet.hpp) against real
 /// in-process daemons: routed placement, byte-identical failover when a
 /// shard dies mid-corpus, the health state machine's probe-driven recovery,
-/// the fleet.* fault sites, hedged sends, the unknown_base → full
-/// resynthesis ECO fallback, and the merged --stats scrape.
+/// the fleet.* fault sites, hedged sends (and no hedge without a replica to
+/// take over), the unknown_base → full resynthesis ECO fallback, progress
+/// and trace through one- and two-endpoint fleets, the fleet.* log lines,
+/// and the merged --stats scrape.
 #include "serve/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +13,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,6 +26,8 @@
 #include "serve/server.hpp"
 #include "serve/synth_service.hpp"
 #include "util/fault.hpp"
+#include "util/log.hpp"
+#include "util/trace.hpp"
 
 namespace xsfq {
 namespace {
@@ -274,6 +280,139 @@ TEST(FleetEndToEnd, HedgedSendAbandonsSlowShardAndWinsOnReplica) {
   EXPECT_EQ(r.report, expected.report);
   EXPECT_GE(fleet.counters().hedged, 1u);
   EXPECT_GE(fleet.counters().hedge_wins, 1u);
+}
+
+TEST(FleetEndToEnd, SingleOwnerIsNeverHedged) {
+  // Same hedge arming as above, but with one owner per key and one sweep:
+  // no replica can take over, so the first attempt must wait for the cold
+  // c6288 run instead of being abandoned at a ~1 ms deadline.
+  fleet_fixture fx(2);
+  fleet_options options = test_options();
+  options.replicas = 1;
+  options.policy.max_retries = 0;
+  options.hedge_min_samples = 1;
+  options.hedge_floor_ms = 0.001;
+  options.hedge_multiplier = 1e-9;
+  fleet_client fleet(fx.endpoints(), options);
+
+  flow::batch_runner local(2);
+  const synth_request slow = make_request_for_spec("c6288");
+  const synth_response expected = run_synth(slow, local);
+  ASSERT_TRUE(expected.ok);
+
+  ASSERT_TRUE(fleet.submit(make_request_for_spec("c432")).ok);  // 1st sample
+  const synth_response r = fleet.submit(slow);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.report, expected.report);
+  EXPECT_EQ(fleet.counters().hedged, 0u);
+  EXPECT_EQ(fleet.counters().hedge_wins, 0u);
+  EXPECT_EQ(fleet.counters().failovers, 0u);
+}
+
+/// A traced c432 request: the id makes the daemon collect its spans.
+synth_request traced_c432(trace::trace_id id) {
+  synth_request req = make_request_for_spec("c432");
+  req.trace_hi = id.hi;
+  req.trace_lo = id.lo;
+  return req;
+}
+
+bool has_span(const trace_reply& reply, const std::string& name) {
+  for (const auto& span : reply.spans) {
+    if (span.name == name) return true;
+  }
+  return false;
+}
+
+TEST(FleetEndToEnd, OneEndpointStreamsProgressAndTraces) {
+  flow::batch_runner local(2);
+  const synth_response expected =
+      run_synth(make_request_for_spec("c432"), local);
+  ASSERT_TRUE(expected.ok);
+
+  // A single daemon is a fleet of one: the same client streams progress
+  // and fetches the request's spans.
+  fleet_fixture fx(1);
+  fleet_client fleet(fx.endpoints(), test_options());
+  const trace::trace_id id{0x0123, 0x4567};
+  synth_request req = traced_c432(id);
+  req.stream_progress = true;
+  std::vector<progress_event> events;
+  const synth_response r =
+      fleet.submit(req, [&](const progress_event& e) { events.push_back(e); });
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.report, expected.report);
+  EXPECT_FALSE(events.empty());
+
+  const trace_reply spans = fleet.trace({id.hi, id.lo});
+  EXPECT_TRUE(has_span(spans, "request_total"));
+}
+
+TEST(FleetEndToEnd, TraceAfterFailoverAsksTheSurvivor) {
+  fleet_fixture fx(2);
+  fleet_client fleet(fx.endpoints(), test_options());
+  const trace::trace_id id{0x89ab, 0xcdef};
+  const synth_request req = traced_c432(id);
+  const std::size_t primary =
+      fx.index_of(fleet.owners_for(fleet_client::routing_key(req))[0]);
+  fx.servers[primary]->stop();
+
+  ASSERT_TRUE(fleet.submit(req).ok);
+  EXPECT_GE(fleet.counters().failovers, 1u);
+  // Only the survivor answered, so only it holds the spans.
+  const trace_reply spans = fleet.trace({id.hi, id.lo});
+  EXPECT_TRUE(has_span(spans, "request_total"));
+}
+
+/// Captures every log line for the guard's lifetime.  Declare it before any
+/// in-process daemon so the sink outlives their logging threads.
+struct log_capture {
+  std::mutex mu;
+  std::vector<std::string> lines;
+  log_capture() {
+    log::set_sink([this](std::string_view ln) {
+      const std::lock_guard<std::mutex> lock(mu);
+      lines.emplace_back(ln);
+    });
+  }
+  ~log_capture() { log::set_sink(nullptr); }
+
+  /// The first captured line naming `event`, or "" when there is none.
+  std::string find(const std::string& event) {
+    const std::lock_guard<std::mutex> lock(mu);
+    for (const auto& ln : lines) {
+      if (ln.find("event=" + event + " ") != std::string::npos) return ln;
+    }
+    return "";
+  }
+};
+
+TEST(FleetLogs, FailoverAndStatsFailureLinesSayWhy) {
+  log_capture capture;
+  fleet_fixture fx(2);
+  fleet_client fleet(fx.endpoints(), test_options());
+  const trace::trace_id id{0x1111, 0x2222};
+  const synth_request req = traced_c432(id);
+  const std::string victim =
+      fleet.owners_for(fleet_client::routing_key(req))[0];
+  fx.servers[fx.index_of(victim)]->stop();
+
+  {
+    trace::context_scope scope(id);
+    ASSERT_TRUE(fleet.submit(req).ok);
+  }
+  const std::string failover = capture.find("fleet.failover");
+  EXPECT_NE(failover.find("trace_id=" + trace::to_hex(id)), std::string::npos)
+      << failover;
+  EXPECT_NE(failover.find(victim), std::string::npos) << failover;
+
+  // The scrape still succeeds on the survivor; the dead endpoint's failure
+  // is logged with its id and the error instead of vanishing.
+  EXPECT_EQ(fleet.stats().endpoints_up, 1u);
+  const std::string stats_fail = capture.find("fleet.stats.fail");
+  EXPECT_NE(stats_fail.find(victim), std::string::npos) << stats_fail;
+  EXPECT_NE(stats_fail.find("cannot connect"), std::string::npos)
+      << stats_fail;
 }
 
 TEST(FleetEco, UnknownBaseFallsBackToFullResynthesisByteIdentically) {

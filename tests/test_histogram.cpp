@@ -1,7 +1,6 @@
 /// Tests for util/histogram: the fixed log-bucket latency histogram behind
 /// the serve daemon's server_stats scrape — bucket boundary math, recording,
-/// merging (the per-worker recycle/merge-on-read pattern), quantiles, and
-/// the named histogram_set.
+/// quantiles, and the named histogram_set.
 #include "util/histogram.hpp"
 
 #include <gtest/gtest.h>
@@ -62,34 +61,6 @@ TEST(LogHistogram, RecordAndAccessors) {
   EXPECT_DOUBLE_EQ(h.max_ms(), 100.0);
   EXPECT_EQ(h.buckets()[10], 2u);
   EXPECT_EQ(h.buckets()[16], 1u);
-
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum_ms(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max_ms(), 0.0);
-  for (const auto b : h.buckets()) EXPECT_EQ(b, 0u);
-}
-
-TEST(LogHistogram, MergePreservesAllSamples) {
-  log_histogram worker_a;
-  log_histogram worker_b;
-  worker_a.record(0.5);
-  worker_a.record(2.0);
-  worker_b.record(2.0);
-  worker_b.record(512.0);
-
-  log_histogram merged;
-  merged.merge(worker_a);
-  merged.merge(worker_b);
-  EXPECT_EQ(merged.count(), 4u);
-  EXPECT_DOUBLE_EQ(merged.sum_ms(), 516.5);
-  EXPECT_DOUBLE_EQ(merged.max_ms(), 512.0);
-  std::uint64_t total = 0;
-  for (const auto b : merged.buckets()) total += b;
-  EXPECT_EQ(total, 4u);
-  // Merging is additive, not destructive: the sources are unchanged.
-  EXPECT_EQ(worker_a.count(), 2u);
-  EXPECT_EQ(worker_b.count(), 2u);
 }
 
 TEST(LogHistogram, QuantileReturnsBucketUpperBound) {
@@ -103,26 +74,13 @@ TEST(LogHistogram, QuantileReturnsBucketUpperBound) {
   EXPECT_DOUBLE_EQ(h.quantile_ms(0.99), log_histogram::bucket_upper_ms(19));
 }
 
-TEST(HistogramSet, FindOrCreateAndMerge) {
+TEST(HistogramSet, FindOrCreate) {
   histogram_set live;
   live.at("queue_wait").record(0.1);
   live.at("queue_wait").record(0.2);
   live.at("stage:optimize").record(25.0);
   EXPECT_EQ(live.entries().size(), 2u);
   EXPECT_EQ(live.at("queue_wait").count(), 2u);
-
-  // The recycle pattern: merge a connection's set into the retired set,
-  // matching histograms by name, creating absent ones.
-  histogram_set retired;
-  retired.at("queue_wait").record(0.4);
-  live.merge_into(retired);
-  EXPECT_EQ(retired.at("queue_wait").count(), 3u);
-  EXPECT_EQ(retired.at("stage:optimize").count(), 1u);
-
-  live.reset_counts();
-  EXPECT_EQ(live.at("queue_wait").count(), 0u);
-  // Names survive a reset — the whole point of recycling.
-  EXPECT_EQ(live.entries().size(), 2u);
 }
 
 }  // namespace
