@@ -3,8 +3,8 @@
 /// \brief Shared helpers for the table/figure reproduction binaries.
 ///
 /// Every binary regenerates one table or figure from the paper; paper-
-/// reported values are tabulated next to our measured ones so EXPERIMENTS.md
-/// can record both.  All flows are deterministic.
+/// reported values are printed next to our measured ones.  All flows are
+/// deterministic.
 
 #include <cstdio>
 #include <string>
@@ -19,10 +19,9 @@
 
 namespace xsfq::bench {
 
-/// Complete flow record for one circuit (see src/flow).  All flow setup goes
-/// through flow::run_flow / flow::batch_runner directly — this header only
-/// keeps the hand-built example networks shared by the figure benches.
-using flow_record = flow::flow_result;
+/// All flow setup goes through flow::run_flow / flow::batch_runner directly;
+/// this header only keeps the hand-built example networks shared by the
+/// figure benches.
 
 /// The paper's 7-node full adder AIG (Figure 4).
 inline aig paper_full_adder_aig() {

@@ -4,8 +4,8 @@
 ///
 /// These are the one-word-per-traversal implementations that shipped before
 /// the wide engine, kept verbatim as (a) the parity oracle for
-/// tests/test_simulate.cpp and (b) the "before" baseline that
-/// bench_perf_sim measures speedups against.  Deliberately naive: fresh
+/// tests/test_simulate.cpp and (b) the "before" baseline whose sweep and
+/// random_equivalent rows bench_perf times beside the engine's.  Deliberately naive: fresh
 /// result vectors per call, no scratch reuse, no incremental mode.  Do not
 /// optimize this file — its value is that it stays what the engine is
 /// compared to.

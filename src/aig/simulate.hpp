@@ -127,7 +127,7 @@ private:
 class equivalence_checker {
 public:
   /// Checks batch patterns 32 words at a time: wide enough that the
-  /// per-gate decode cost all but vanishes (see bench_perf_sim), small
+  /// per-gate decode cost all but vanishes (see bench_perf), small
   /// enough that two c6288-sized planes stay cache-resident.
   static constexpr unsigned default_width = 32;
 

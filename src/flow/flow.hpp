@@ -85,8 +85,7 @@ struct stage_event {
 /// thread.  Observer exceptions propagate and fail the flow.
 using stage_observer = std::function<void(const stage_event&)>;
 
-/// Everything one flow run produced.  Field names mirror the old
-/// bench_common `flow_record` so table binaries read naturally:
+/// Everything one flow run produced.  Table binaries read it directly:
 /// `r.mapped.stats.jj`, `r.baseline.jj_without_clock`, ...
 struct flow_result {
   std::string name;

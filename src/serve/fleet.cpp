@@ -407,10 +407,15 @@ synth_response fleet_client::with_failover(std::uint64_t key, Fn&& send) {
         // this is not a health event.  retry_after_ms means "not me, not
         // now": route to the next replica immediately and only honor the
         // hint if the whole sweep comes up empty.
-        ++sh.failures;
         sweep_hint_ms = std::max(sweep_hint_ms, e.retry_after_ms);
         sh.conn.reset();  // shedding closes or poisons the connection
-        if (e.code == error_code::io_timeout) mark_transport_failure(sh);
+        // A typed io_timeout is a transport failure reported by the peer:
+        // mark_transport_failure counts the attempt and demotes health.
+        if (e.code == error_code::io_timeout) {
+          mark_transport_failure(sh);
+        } else {
+          ++sh.failures;
+        }
         reason = "shed";
       } catch (const io_timeout_error&) {
         last_error = std::current_exception();

@@ -257,6 +257,32 @@ TEST(FleetFaults, ProbeFailFaultKeepsEndpointDown) {
   }
 }
 
+TEST(FleetFaults, TypedIoTimeoutCountsOneEndpointFailure) {
+  // The daemon's I/O deadline answers a stalled recv with a typed
+  // io_timeout; the fleet retries on its one endpoint and succeeds.  The
+  // failed attempt is one failure on that endpoint, not two.
+  temp_dir dir;
+  server_options options;
+  options.socket_path = dir.path + "/served.sock";
+  options.threads = 2;
+  options.io_timeout_ms = 500;
+  server srv(options);
+  endpoint ep;
+  ep.socket_path = options.socket_path;
+  fleet_client fleet({ep}, test_options());
+
+  fault::arm("serve.recv.stall:nth=1");
+  const synth_response r = fleet.submit(make_request_for_spec("c432"));
+  fault::disarm();
+
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(fleet.counters().failovers, 1u);
+  const std::vector<endpoint_status> statuses = fleet.endpoint_statuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0].requests, 2u);
+  EXPECT_EQ(statuses[0].failures, 1u);
+}
+
 TEST(FleetEndToEnd, HedgedSendAbandonsSlowShardAndWinsOnReplica) {
   fleet_fixture fx(2);
   fleet_options options = test_options();

@@ -1,188 +1,210 @@
 #!/usr/bin/env python3
-"""Gate perf benches against the committed baseline snapshot.
+"""Gate a bench_perf run against the committed baseline.
 
 Usage:
-    check_perf_regression.py BASELINE.json NAME=CURRENT.json [NAME=FILE ...]
-                             [--max-regression 0.25] [--no-calibrate]
-    check_perf_regression.py --update BASELINE.json NAME=CURRENT.json [...]
+    check_perf_regression.py BASELINE.json RUN.json [RUN.json ...]
+    check_perf_regression.py --update BASELINE.json RUN.json [RUN.json ...]
+    check_perf_regression.py --self-test
 
---update rewrites baseline[NAME] with each CURRENT.json instead of gating —
-the sanctioned way to re-baseline after an intentional perf change (commit
-the result and say why).
+bench_perf writes one row per (layer, circuit, metric).  The runs given are
+merged first: every figure becomes the median across the runs, and every
+counter must agree across them.  Several runs outvote one run that a noisy
+host slowed or sped up as a whole.  The merged run passes when all of these
+hold:
 
-BASELINE.json maps bench names to the JSON those benches emit with --json
-(see bench/BENCH_baseline.json).  For every NAME=FILE pair the current JSON
-is compared recursively against baseline[NAME]:
+  * It has exactly the baseline's rows.  A baseline row missing from the
+    run fails, and so does a row the baseline lacks: adding a row is a
+    deliberate --update.
+  * Every row's counters equal the baseline's.  They count work (cuts,
+    replacements, node evaluations, nodes out, JJ, bytes), which no host
+    changes; a new value means the code now does different work.
+  * Every gated row's median cost in calibration units ("cal") is at most
+    the row's band above the baseline's.  cal is the row's time divided by
+    the time of a frozen calibration kernel run in the same process right
+    before each rep, so it does not move with the speed of the host.
 
-  * keys ending in "_ms"      -> lower is better; fail when
-                                 current > baseline * (1 + tol) * scale + abs_slack
-  * keys ending in "_per_s"   -> higher is better; fail when
-                                 current < baseline / ((1 + tol) * scale)
+Wall times (ms) and "info" counters are printed, never gated.
 
-A baseline entry may also carry an "abs_caps" object mapping dotted metric
-paths (relative to the bench entry) to absolute millisecond ceilings, e.g.
-{"eco.c6288.edit1_ms": 2.0}.  Caps encode acceptance criteria ("a single-gate
-c6288 edit resynthesizes in under 2 ms") rather than drift tolerances: they
-are enforced without tolerance, slack, or hardware calibration, and --update
-preserves them across re-baselining.
-
-Everything else (counters, speedup ratios, nested arrays) is informational
-only.  `scale` compensates for the benchmark host being faster/slower than
-the machine that produced the baseline: it is derived from the calibration
-metric "sim.scalar_sweep_mpatterns_per_s" when present in both the baseline
-and the current bench_perf_sim output (disable with --no-calibrate).  The
-absolute slack (0.5 ms) keeps sub-millisecond metrics from tripping the gate
-on scheduler noise.
+--update writes the merged runs to BASELINE instead of gating them.  Each
+row's band is BAND, or SPREAD times the furthest any run's median sat above
+the merged median where that is wider: a row the calibration tracks less
+well (work on other threads, such as a daemon round trip) gets the wider
+band its own spread shows.
 """
 
+import copy
 import json
+import statistics
 import sys
 
-TOL_DEFAULT = 0.25
-ABS_SLACK_MS = 0.5
-CALIBRATION_KEY = ("sim", "scalar_sweep_mpatterns_per_s")
+BAND = 0.20
+SPREAD = 2.5  # the furthest of 5 runs lies ~1.2 sd out; 2.5x spans ~3 sd
 
 
-# Daemon round-trip latencies are sub-millisecond and dominated by
-# scheduler/IO jitter the throughput calibration cannot capture; they stay
-# informational (archived in the perf-smoke artifact) rather than gated.
-UNGATED_SUBTREES = {"service"}
+def key(row):
+    return f"{row['layer']}/{row['circuit']}/{row['metric']}"
 
 
-def walk(prefix, base, cur, out):
-    if isinstance(base, dict) and isinstance(cur, dict):
-        for key, bval in base.items():
-            if key in UNGATED_SUBTREES or key == "abs_caps":
-                continue
-            if key in cur:
-                walk(prefix + (key,), bval, cur[key], out)
-        return
-    if isinstance(base, (int, float)) and isinstance(cur, (int, float)):
-        out.append((prefix, float(base), float(cur)))
+def gate(baseline, current, out=print):
+    """Returns the failure messages; prints one line per baseline row."""
+    base = {key(r): r for r in baseline["rows"]}
+    cur = {key(r): r for r in current["rows"]}
+    failures = [f"{k}: not in the baseline" for k in cur if k not in base]
+    for k, b in base.items():
+        c = cur.get(k)
+        if c is None:
+            failures.append(f"{k}: missing from the run")
+            continue
+        for name in sorted(set(b["counters"]) | set(c["counters"])):
+            if b["counters"].get(name) != c["counters"].get(name):
+                failures.append(f"{k}: counter {name} "
+                                f"{b['counters'].get(name)} -> "
+                                f"{c['counters'].get(name)}")
+        ratio = c["cal"]["median"] / b["cal"]["median"]
+        status = "info"
+        if b["gated"]:
+            status = "ok" if ratio <= 1.0 + b["band"] else "FAIL"
+        if status == "FAIL":
+            failures.append(f"{k}: {c['cal']['median']:.4g} cal vs "
+                            f"{b['cal']['median']:.4g} ({ratio - 1:+.0%}, "
+                            f"band +{b['band']:.0%})")
+        out(f"{status:4} {k:44} {c['ms']['median']:10.3f} ms "
+            f"{c['cal']['median']:10.4g} cal {ratio:6.2f}x")
+    return failures
+
+
+def merge(runs):
+    """Merges runs into one: per-figure medians; the counters must agree."""
+    indexed = [{key(r): r for r in run["rows"]} for run in runs]
+    if any(run.keys() != indexed[0].keys() for run in indexed):
+        raise ValueError("the runs do not have the same rows")
+    rows = []
+    for first in runs[0]["rows"]:
+        k = key(first)
+        group = [run[k] for run in indexed]
+        if any(r["counters"] != first["counters"] for r in group):
+            raise ValueError(f"{k}: counters differ between runs")
+        row = copy.deepcopy(first)
+        for fig in ("ms", "cal"):
+            row[fig] = {s: statistics.median(r[fig][s] for r in group)
+                        for s in ("min", "median", "p90")}
+        above = max(r["cal"]["median"] for r in group) / row["cal"]["median"]
+        row["band"] = round(max(BAND, SPREAD * (above - 1.0)), 2)
+        rows.append(row)
+    kernels = {k: {"median": statistics.median(
+        run["calibration_ms"][k]["median"] for run in runs)}
+        for k in runs[0]["calibration_ms"]}
+    return {"schema": runs[0]["schema"], "runs": len(runs),
+            "calibration_ms": kernels, "rows": rows}
+
+
+def sample_row(layer, metric, cal, gated, counters):
+    return {"layer": layer, "circuit": "c6288", "metric": metric,
+            "reps": 20, "iters": 1, "gated": gated, "kernel": "strash",
+            "band": BAND,
+            "ms": {"min": cal * 9, "median": cal * 10, "p90": cal * 11},
+            "cal": {"min": cal * 0.9, "median": cal, "p90": cal * 1.1},
+            "counters": counters, "info": {}}
+
+
+SAMPLE = {"schema": "bench_perf/1",
+          "calibration_ms": {"sweep": {"median": 12.0},
+                             "strash": {"median": 11.0}},
+          "rows": [sample_row("opt", "rewrite_pass", 0.5, True,
+                              {"replacements": 762, "nodes_out": 2600}),
+                   sample_row("serve", "warm_request", 0.06, False, {})]}
+
+
+def edited(fn):
+    run = copy.deepcopy(SAMPLE)
+    fn(run["rows"])
+    return run
+
+
+def scaled(i, factor):
+    """SAMPLE with row i's median cal multiplied by `factor`."""
+    return edited(lambda rows: rows[i]["cal"].update(
+        median=rows[i]["cal"]["median"] * factor))
+
+
+DRIFT = edited(lambda rows: rows[0]["counters"].update(replacements=763))
+MISSING = edited(lambda rows: rows.pop())
+
+# (case, runs merged and gated, should pass[, baseline runs; else SAMPLE])
+SELF_TEST_CASES = [
+    ("an identical run passes", [SAMPLE], True),
+    ("counter drift fails", [DRIFT], False),
+    ("a ratio inside the band passes", [scaled(0, 1.10)], True),
+    ("a ratio 30% above the baseline fails", [scaled(0, 1.30)], False),
+    ("an ungated row may slow down", [scaled(1, 2.0)], True),
+    ("a missing row fails", [MISSING], False),
+    ("an extra row fails",
+     [edited(lambda rows: rows.append(sample_row("sim", "new", 1.0, True, {})))],
+     False),
+    ("the median of three runs outvotes one slow run",
+     [scaled(0, f) for f in (0.9, 1.0, 1.3)], True),
+    ("runs whose counters differ fail", [SAMPLE, DRIFT], False),
+    ("runs whose rows differ fail", [SAMPLE, MISSING], False),
+    ("a noisy baseline row gets a wider band (75% here)",
+     [scaled(0, 1.4)], True, [scaled(0, f) for f in (1.0, 1.0, 1.3)]),
+]
+
+
+def self_test():
+    bad = 0
+    for name, runs, should_pass, *base in SELF_TEST_CASES:
+        baseline = merge(base[0]) if base else SAMPLE
+        try:
+            passed = not gate(baseline, merge(runs), out=lambda line: None)
+        except ValueError:
+            passed = False
+        if passed != should_pass:
+            bad += 1
+            print(f"self-test FAIL: {name}")
+    print("self-test " + ("failed" if bad else "passed"))
+    return 1 if bad else 0
+
+
+def load(path):
+    with open(path) as f:
+        return json.load(f)
 
 
 def main(argv):
-    tol = TOL_DEFAULT
-    calibrate = True
-    update = False
-    positional = []
-    i = 1
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--max-regression":
-            i += 1
-            tol = float(argv[i])
-        elif arg == "--no-calibrate":
-            calibrate = False
-        elif arg == "--update":
-            update = True
-        else:
-            positional.append(arg)
-        i += 1
-    if len(positional) < 2:
+    args = argv[1:]
+    if args == ["--self-test"]:
+        return self_test()
+    update = bool(args) and args[0] == "--update"
+    paths = args[1:] if update else args
+    if len(paths) < 2 or paths[0].startswith("--"):
         print(__doc__)
         return 2
-
-    with open(positional[0]) as f:
-        baseline = json.load(f)
-
-    currents = {}
-    for pair in positional[1:]:
-        name, _, path = pair.partition("=")
-        if not path:
-            print(f"error: expected NAME=FILE, got {pair!r}")
-            return 2
-        with open(path) as f:
-            currents[name] = json.load(f)
-
-    if update:
-        for name, cur in currents.items():
-            caps = baseline.get(name, {}).get("abs_caps")
-            baseline[name] = cur
-            if caps is not None:
-                # Caps are policy, not measurement; they survive re-baselining.
-                baseline[name]["abs_caps"] = caps
-            print(f"re-baselined {name}")
-        with open(positional[0], "w") as f:
-            json.dump(baseline, f, indent=2)
-            f.write("\n")
-        print(f"wrote {positional[0]}")
-        return 0
-
-    # Hardware calibration: how much slower (>1) or faster (<1) is this host
-    # than the baseline host, judged by the raw sim sweep throughput.
-    scale = 1.0
-    if calibrate:
-        for name, cur in currents.items():
-            base = baseline.get(name, {})
-            b = base
-            c = cur
-            for key in CALIBRATION_KEY:
-                b = b.get(key, {}) if isinstance(b, dict) else {}
-                c = c.get(key, {}) if isinstance(c, dict) else {}
-            if isinstance(b, (int, float)) and isinstance(c, (int, float)) and c:
-                scale = float(b) / float(c)
-                print(f"calibration: host scale {scale:.3f} "
-                      f"(baseline {b:.3f} / current {c:.3f} Mpatterns/s)")
-                break
-
-    failures = []
-    for name, cur in currents.items():
-        if name not in baseline:
-            print(f"warning: no baseline entry for {name}; skipping")
-            continue
-        metrics = []
-        walk((name,), baseline[name], cur, metrics)
-        for path, bval, cval in metrics:
-            key = path[-1]
-            label = ".".join(path)
-            if key.endswith("_ms"):
-                limit = bval * (1.0 + tol) * scale + ABS_SLACK_MS
-                status = "FAIL" if cval > limit else "ok"
-                print(f"{status:4} {label}: {cval:.3f} ms "
-                      f"(baseline {bval:.3f}, limit {limit:.3f})")
-                if cval > limit:
-                    failures.append((label, bval, cval, limit, "ms"))
-            elif key.endswith("_per_s"):
-                limit = bval / ((1.0 + tol) * scale)
-                status = "FAIL" if cval < limit else "ok"
-                print(f"{status:4} {label}: {cval:.3f} /s "
-                      f"(baseline {bval:.3f}, floor {limit:.3f})")
-                if cval < limit:
-                    failures.append((label, bval, cval, limit, "/s"))
-
-    # Absolute caps: acceptance-criterion ceilings, no tolerance and no
-    # hardware calibration (a slower host does not get to miss the claim).
-    for name, cur in currents.items():
-        caps = baseline.get(name, {}).get("abs_caps", {})
-        for dotted, cap in caps.items():
-            node = cur
-            for key in dotted.split("."):
-                node = node.get(key) if isinstance(node, dict) else None
-            if not isinstance(node, (int, float)):
-                print(f"FAIL {name}.{dotted}: capped metric missing from "
-                      f"current run")
-                failures.append((f"{name}.{dotted}", float(cap), float("nan"),
-                                 float(cap), "ms"))
-                continue
-            status = "FAIL" if node > cap else "ok"
-            print(f"{status:4} {name}.{dotted}: {node:.3f} ms "
-                  f"(absolute cap {cap:.3f})")
-            if node > cap:
-                failures.append((f"{name}.{dotted}", float(cap), float(node),
-                                 float(cap), "ms"))
-
-    if failures:
-        print(f"\nperf regression: {len(failures)} metric(s) beyond "
-              f"{tol * 100:.0f}% of baseline:")
-        for label, bval, cval, limit, unit in failures:
-            delta = (cval / bval - 1.0) * 100.0 if bval else float("inf")
-            print(f"  {label}: baseline {bval:.3f} {unit} -> measured "
-                  f"{cval:.3f} {unit} ({delta:+.1f}%, gate at {limit:.3f})")
-        print("intentional change? re-baseline with --update "
-              "(see docs/operations.md, 'The perf-gate workflow')")
+    try:
+        current = merge([load(p) for p in paths[1:]])
+    except ValueError as e:
+        print(f"perf gate: {e}")
         return 1
-    print("\nperf check passed")
+    if update:
+        # One row per line, so that a re-baseline diffs row by row.
+        head = json.dumps({k: v for k, v in current.items() if k != "rows"})
+        rows = ",\n  ".join(json.dumps(r) for r in current["rows"])
+        with open(paths[0], "w") as f:
+            f.write(f'{head[:-1]}, "rows": [\n  {rows}\n]}}\n')
+        print(f"wrote {paths[0]} from {len(paths) - 1} run(s)")
+        return 0
+    baseline = load(paths[0])
+    for k, v in current["calibration_ms"].items():
+        print(f"calibration: {k} kernel {v['median']:.2f} ms (baseline host "
+              f"{baseline['calibration_ms'][k]['median']:.2f} ms)")
+    failures = gate(baseline, current)
+    if failures:
+        print(f"\nperf gate: {len(failures)} failure(s):")
+        for line in failures:
+            print(f"  {line}")
+        print("intentional change? re-baseline with --update "
+              "(docs/operations.md, 'The perf-gate workflow')")
+        return 1
+    print("\nperf gate passed")
     return 0
 
 
