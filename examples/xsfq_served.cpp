@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
               << std::flush;
     srv.stop();
     shutdown_waiter.join();
-    const auto status = srv.status();
+    const auto status = srv.stats().status;
     std::cout << "xsfq_served: served " << status.jobs_completed << "/"
               << status.jobs_submitted << " jobs, exiting\n";
   } catch (const std::exception& e) {

@@ -18,7 +18,18 @@ namespace {
 
 using detail::sim_gate_op;
 
-#if defined(__x86_64__) && defined(__has_attribute)
+// ThreadSanitizer builds skip the clones: their ifunc resolvers run before
+// the TSan runtime is initialized and crash the process before main.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define XSFQ_SIM_NO_CLONES
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define XSFQ_SIM_NO_CLONES
+#endif
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(XSFQ_SIM_NO_CLONES)
 #if __has_attribute(target_clones)
 #define XSFQ_SIM_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))

@@ -62,93 +62,6 @@ bool retryable_service_error(error_code code) {
   }
 }
 
-void merge_status(server_status& into, const server_status& from) {
-  into.jobs_submitted += from.jobs_submitted;
-  into.jobs_completed += from.jobs_completed;
-  into.jobs_failed += from.jobs_failed;
-  into.active_connections += from.active_connections;
-  into.worker_threads += from.worker_threads;
-  into.steals += from.steals;
-  // Fleet uptime = the longest-lived member (restarted shards report less).
-  into.uptime_s = std::max(into.uptime_s, from.uptime_s);
-}
-
-void merge_cache(flow::batch_cache_stats& into,
-                 const flow::batch_cache_stats& from) {
-  into.full_hits += from.full_hits;
-  into.full_misses += from.full_misses;
-  into.opt_hits += from.opt_hits;
-  into.opt_misses += from.opt_misses;
-  into.disk_hits += from.disk_hits;
-  into.disk_misses += from.disk_misses;
-  into.disk_writes += from.disk_writes;
-  into.disk_quarantined += from.disk_quarantined;
-  into.disk_quarantine_pruned += from.disk_quarantine_pruned;
-  into.region_hits += from.region_hits;
-  into.region_misses += from.region_misses;
-  into.eco_patches += from.eco_patches;
-  into.retained_networks += from.retained_networks;
-  into.retained_evictions += from.retained_evictions;
-}
-
-void merge_stats(server_stats_reply& into, const server_stats_reply& from) {
-  merge_status(into.status, from.status);
-  merge_cache(into.cache, from.cache);
-  if (into.disk_directory.empty()) into.disk_directory = from.disk_directory;
-  into.accepted += from.accepted;
-  into.rejected_overload += from.rejected_overload;
-  into.rejected_deadline += from.rejected_deadline;
-  into.rejected_auth += from.rejected_auth;
-  into.rejected_conns += from.rejected_conns;
-  into.peak_queue_depth += from.peak_queue_depth;
-  into.queue_depth += from.queue_depth;
-  into.inflight += from.inflight;
-  // Capacity gauges sum to total fleet capacity.
-  into.max_queue += from.max_queue;
-  into.max_inflight += from.max_inflight;
-  into.max_conns += from.max_conns;
-  into.runner_queue_depth += from.runner_queue_depth;
-  into.eco_requests += from.eco_requests;
-  into.eco_retained_hits += from.eco_retained_hits;
-  into.eco_base_rebuilds += from.eco_base_rebuilds;
-  into.eco_failures += from.eco_failures;
-  into.io_timeouts += from.io_timeouts;
-  into.fault_fired += from.fault_fired;
-  into.trace_spans_recorded += from.trace_spans_recorded;
-  into.trace_spans_dropped += from.trace_spans_dropped;
-  for (const fault_site_snapshot& site : from.fault_sites) {
-    auto it = std::find_if(into.fault_sites.begin(), into.fault_sites.end(),
-                           [&](const fault_site_snapshot& s) {
-                             return s.site == site.site;
-                           });
-    if (it == into.fault_sites.end()) {
-      into.fault_sites.push_back(site);
-    } else {
-      it->hits += site.hits;
-      it->fired += site.fired;
-    }
-  }
-  for (const histogram_snapshot& h : from.histograms) {
-    auto it = std::find_if(into.histograms.begin(), into.histograms.end(),
-                           [&](const histogram_snapshot& s) {
-                             return s.name == h.name;
-                           });
-    if (it == into.histograms.end()) {
-      into.histograms.push_back(h);
-      continue;
-    }
-    it->count += h.count;
-    it->sum_ms += h.sum_ms;
-    it->max_ms = std::max(it->max_ms, h.max_ms);
-    if (it->buckets.size() < h.buckets.size()) {
-      it->buckets.resize(h.buckets.size(), 0);
-    }
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      it->buckets[i] += h.buckets[i];
-    }
-  }
-}
-
 }  // namespace
 
 const char* to_string(endpoint_health h) {
@@ -524,7 +437,8 @@ fleet_stats fleet_client::stats() {
   for (const std::unique_ptr<shard>& sp : shards_) {
     shard& sh = *sp;
     try {
-      merge_stats(out.merged, connect(sh, control_timeout_ms()).server_stats());
+      merge_server_stats(out.merged,
+                         connect(sh, control_timeout_ms()).server_stats());
       ++out.endpoints_up;
       mark_success(sh);
     } catch (const std::exception& e) {
@@ -546,82 +460,72 @@ std::vector<endpoint_status> fleet_client::endpoint_statuses() const {
   std::vector<endpoint_status> out;
   out.reserve(shards_.size());
   for (const std::unique_ptr<shard>& sp : shards_) {
-    endpoint_status st;
-    st.id = sp->id;
-    st.health = sp->health;
-    st.requests = sp->requests;
-    st.failures = sp->failures;
-    st.probes = sp->probes;
-    st.probe_failures = sp->probe_failures;
-    st.consecutive_failures = sp->consecutive_failures;
-    out.push_back(std::move(st));
+    out.push_back({sp->id, sp->health, sp->requests, sp->failures, sp->probes,
+                   sp->probe_failures, sp->consecutive_failures});
   }
   return out;
 }
 
 std::string format_fleet_stats_text(const fleet_stats& stats) {
   std::string out = format_server_stats_text(stats.merged);
-  auto line = [&out](const std::string& name, std::uint64_t value) {
+  auto head = [&out](const std::string& name, const char* type,
+                     const char* help) {
+    out += "# HELP " + name + " " + help + "\n# TYPE " + name + " " + type +
+           "\n";
+  };
+  auto line = [&](const std::string& name, const char* type,
+                  const char* help, std::uint64_t value) {
+    head(name, type, help);
     out += name + " " + std::to_string(value) + "\n";
   };
-  out += "# HELP xsfq_fleet_endpoints Fleet members (client view).\n";
-  out += "# TYPE xsfq_fleet_endpoints gauge\n";
-  line("xsfq_fleet_endpoints", stats.endpoints_total);
-  out += "# HELP xsfq_fleet_endpoints_up Members that answered the scrape.\n";
-  out += "# TYPE xsfq_fleet_endpoints_up gauge\n";
-  line("xsfq_fleet_endpoints_up", stats.endpoints_up);
-  out += "# HELP xsfq_fleet_requests_total Requests routed by this client.\n";
-  out += "# TYPE xsfq_fleet_requests_total counter\n";
-  line("xsfq_fleet_requests_total", stats.counters.requests);
-  out += "# HELP xsfq_fleet_failovers_total Attempts that failed and were "
-         "re-routed to another replica.\n";
-  out += "# TYPE xsfq_fleet_failovers_total counter\n";
-  line("xsfq_fleet_failovers_total", stats.counters.failovers);
-  out += "# HELP xsfq_fleet_hedged_total First attempts abandoned at the "
-         "hedge deadline and re-sent.\n";
-  out += "# TYPE xsfq_fleet_hedged_total counter\n";
-  line("xsfq_fleet_hedged_total", stats.counters.hedged);
-  out += "# HELP xsfq_fleet_hedge_wins_total Hedged requests completed by a "
-         "replica.\n";
-  out += "# TYPE xsfq_fleet_hedge_wins_total counter\n";
-  line("xsfq_fleet_hedge_wins_total", stats.counters.hedge_wins);
-  out += "# HELP xsfq_fleet_probes_total Health probes sent.\n";
-  out += "# TYPE xsfq_fleet_probes_total counter\n";
-  line("xsfq_fleet_probes_total", stats.counters.probes);
-  out += "# HELP xsfq_fleet_probe_failures_total Health probes that "
-         "failed.\n";
-  out += "# TYPE xsfq_fleet_probe_failures_total counter\n";
-  line("xsfq_fleet_probe_failures_total", stats.counters.probe_failures);
-  out += "# HELP xsfq_fleet_eco_full_fallbacks_total unknown_base deltas "
-         "finished via local edit + full resynthesis.\n";
-  out += "# TYPE xsfq_fleet_eco_full_fallbacks_total counter\n";
-  line("xsfq_fleet_eco_full_fallbacks_total",
+  line("xsfq_fleet_endpoints", "gauge", "Fleet members (client view).",
+       stats.endpoints_total);
+  line("xsfq_fleet_endpoints_up", "gauge",
+       "Members that answered the scrape.", stats.endpoints_up);
+  line("xsfq_fleet_requests_total", "counter",
+       "Requests routed by this client.", stats.counters.requests);
+  line("xsfq_fleet_failovers_total", "counter",
+       "Attempts that failed and were re-routed to another replica.",
+       stats.counters.failovers);
+  line("xsfq_fleet_hedged_total", "counter",
+       "First attempts abandoned at the hedge deadline and re-sent.",
+       stats.counters.hedged);
+  line("xsfq_fleet_hedge_wins_total", "counter",
+       "Hedged requests completed by a replica.", stats.counters.hedge_wins);
+  line("xsfq_fleet_probes_total", "counter", "Health probes sent.",
+       stats.counters.probes);
+  line("xsfq_fleet_probe_failures_total", "counter",
+       "Health probes that failed.", stats.counters.probe_failures);
+  line("xsfq_fleet_eco_full_fallbacks_total", "counter",
+       "unknown_base deltas finished via local edit + full resynthesis.",
        stats.counters.eco_full_fallbacks);
-  out += "# HELP xsfq_fleet_endpoint_up Per-endpoint health (1 = routable).\n";
-  out += "# TYPE xsfq_fleet_endpoint_up gauge\n";
+  // `name{endpoint="<escaped id>"`, left open for more labels.
+  auto series = [](const char* name, const endpoint_status& ep) {
+    return std::string(name) + "{endpoint=\"" +
+           prometheus_label_value(ep.id) + "\"";
+  };
+  head("xsfq_fleet_endpoint_up", "gauge",
+       "Per-endpoint health (1 = routable).");
   for (const endpoint_status& ep : stats.endpoints) {
-    out += "xsfq_fleet_endpoint_up{endpoint=\"" + ep.id + "\"} " +
-           std::to_string(ep.health == endpoint_health::down ? 0 : 1) + "\n";
+    out += series("xsfq_fleet_endpoint_up", ep) + "} " +
+           (ep.health == endpoint_health::down ? "0" : "1") + "\n";
   }
-  out += "# HELP xsfq_fleet_endpoint_health Per-endpoint state machine "
-         "position (1 at the current state).\n";
-  out += "# TYPE xsfq_fleet_endpoint_health gauge\n";
+  head("xsfq_fleet_endpoint_health", "gauge",
+       "Per-endpoint state machine position (1 at the current state).");
   for (const endpoint_status& ep : stats.endpoints) {
-    out += "xsfq_fleet_endpoint_health{endpoint=\"" + ep.id + "\",state=\"" +
+    out += series("xsfq_fleet_endpoint_health", ep) + ",state=\"" +
            to_string(ep.health) + "\"} 1\n";
   }
-  out += "# HELP xsfq_fleet_endpoint_requests_total Attempts sent per "
-         "endpoint.\n";
-  out += "# TYPE xsfq_fleet_endpoint_requests_total counter\n";
+  head("xsfq_fleet_endpoint_requests_total", "counter",
+       "Attempts sent per endpoint.");
   for (const endpoint_status& ep : stats.endpoints) {
-    out += "xsfq_fleet_endpoint_requests_total{endpoint=\"" + ep.id + "\"} " +
+    out += series("xsfq_fleet_endpoint_requests_total", ep) + "} " +
            std::to_string(ep.requests) + "\n";
   }
-  out += "# HELP xsfq_fleet_endpoint_failures_total Failed attempts per "
-         "endpoint.\n";
-  out += "# TYPE xsfq_fleet_endpoint_failures_total counter\n";
+  head("xsfq_fleet_endpoint_failures_total", "counter",
+       "Failed attempts per endpoint.");
   for (const endpoint_status& ep : stats.endpoints) {
-    out += "xsfq_fleet_endpoint_failures_total{endpoint=\"" + ep.id + "\"} " +
+    out += series("xsfq_fleet_endpoint_failures_total", ep) + "} " +
            std::to_string(ep.failures) + "\n";
   }
   return out;

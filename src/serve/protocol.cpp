@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "flow/result_io.hpp"
 
@@ -54,6 +55,16 @@ mapping_params read_mapping_params(byte_reader& r) {
   }
   return params;
 }
+
+// One wire codec per server_stats scalar type (see for_each_stat).
+void put(byte_writer& w, std::uint64_t v) { w.u64(v); }
+void put(byte_writer& w, std::uint32_t v) { w.u32(v); }
+void put(byte_writer& w, double v) { w.f64(v); }
+void put(byte_writer& w, const std::string& v) { w.str(v); }
+void get(byte_reader& r, std::uint64_t& v) { v = r.u64(); }
+void get(byte_reader& r, std::uint32_t& v) { v = r.u32(); }
+void get(byte_reader& r, double& v) { v = r.f64(); }
+void get(byte_reader& r, std::string& v) { v = r.str(); }
 
 }  // namespace
 
@@ -454,48 +465,7 @@ trace_reply decode_trace_reply(std::span<const std::uint8_t> payload) {
 std::vector<std::uint8_t> encode_server_stats(
     const server_stats_reply& reply) {
   byte_writer w;
-  w.u64(reply.status.jobs_submitted);
-  w.u64(reply.status.jobs_completed);
-  w.u64(reply.status.jobs_failed);
-  w.u64(reply.status.active_connections);
-  w.u32(reply.status.worker_threads);
-  w.u64(reply.status.steals);
-  w.f64(reply.status.uptime_s);
-  w.u64(reply.cache.full_hits);
-  w.u64(reply.cache.full_misses);
-  w.u64(reply.cache.opt_hits);
-  w.u64(reply.cache.opt_misses);
-  w.u64(reply.cache.disk_hits);
-  w.u64(reply.cache.disk_misses);
-  w.u64(reply.cache.disk_writes);
-  w.u64(reply.cache.disk_quarantined);
-  w.u64(reply.cache.region_hits);
-  w.u64(reply.cache.region_misses);
-  w.u64(reply.cache.eco_patches);
-  w.u64(reply.cache.retained_networks);
-  w.u64(reply.cache.retained_evictions);       // v7
-  w.u64(reply.cache.disk_quarantine_pruned);   // v7
-  w.str(reply.disk_directory);
-  w.u64(reply.accepted);
-  w.u64(reply.rejected_overload);
-  w.u64(reply.rejected_deadline);
-  w.u64(reply.rejected_auth);
-  w.u64(reply.rejected_conns);
-  w.u64(reply.peak_queue_depth);
-  w.u32(reply.queue_depth);
-  w.u32(reply.inflight);
-  w.u32(reply.max_queue);
-  w.u32(reply.max_inflight);
-  w.u32(reply.max_conns);
-  w.u64(reply.runner_queue_depth);
-  w.u64(reply.eco_requests);
-  w.u64(reply.eco_retained_hits);
-  w.u64(reply.eco_base_rebuilds);
-  w.u64(reply.eco_failures);
-  w.u64(reply.io_timeouts);
-  w.u64(reply.fault_fired);
-  w.u64(reply.trace_spans_recorded);
-  w.u64(reply.trace_spans_dropped);
+  for_each_stat([&w](const stat_field&, const auto& v) { put(w, v); }, reply);
   w.u64(reply.fault_sites.size());
   for (const auto& s : reply.fault_sites) {
     w.str(s.site);
@@ -517,48 +487,7 @@ std::vector<std::uint8_t> encode_server_stats(
 server_stats_reply decode_server_stats(std::span<const std::uint8_t> payload) {
   byte_reader r(payload);
   server_stats_reply reply;
-  reply.status.jobs_submitted = r.u64();
-  reply.status.jobs_completed = r.u64();
-  reply.status.jobs_failed = r.u64();
-  reply.status.active_connections = r.u64();
-  reply.status.worker_threads = r.u32();
-  reply.status.steals = r.u64();
-  reply.status.uptime_s = r.f64();
-  reply.cache.full_hits = r.u64();
-  reply.cache.full_misses = r.u64();
-  reply.cache.opt_hits = r.u64();
-  reply.cache.opt_misses = r.u64();
-  reply.cache.disk_hits = r.u64();
-  reply.cache.disk_misses = r.u64();
-  reply.cache.disk_writes = r.u64();
-  reply.cache.disk_quarantined = r.u64();
-  reply.cache.region_hits = r.u64();
-  reply.cache.region_misses = r.u64();
-  reply.cache.eco_patches = r.u64();
-  reply.cache.retained_networks = r.u64();
-  reply.cache.retained_evictions = r.u64();      // v7
-  reply.cache.disk_quarantine_pruned = r.u64();  // v7
-  reply.disk_directory = r.str();
-  reply.accepted = r.u64();
-  reply.rejected_overload = r.u64();
-  reply.rejected_deadline = r.u64();
-  reply.rejected_auth = r.u64();
-  reply.rejected_conns = r.u64();
-  reply.peak_queue_depth = r.u64();
-  reply.queue_depth = r.u32();
-  reply.inflight = r.u32();
-  reply.max_queue = r.u32();
-  reply.max_inflight = r.u32();
-  reply.max_conns = r.u32();
-  reply.runner_queue_depth = r.u64();
-  reply.eco_requests = r.u64();
-  reply.eco_retained_hits = r.u64();
-  reply.eco_base_rebuilds = r.u64();
-  reply.eco_failures = r.u64();
-  reply.io_timeouts = r.u64();
-  reply.fault_fired = r.u64();
-  reply.trace_spans_recorded = r.u64();
-  reply.trace_spans_dropped = r.u64();
+  for_each_stat([&r](const stat_field&, auto& v) { get(r, v); }, reply);
   const std::size_t nf = r.count(/*min_element_bytes=*/8);
   reply.fault_sites.reserve(nf);
   for (std::size_t i = 0; i < nf; ++i) {
@@ -583,6 +512,46 @@ server_stats_reply decode_server_stats(std::span<const std::uint8_t> payload) {
   }
   r.expect_done();
   return reply;
+}
+
+void merge_server_stats(server_stats_reply& into,
+                        const server_stats_reply& from) {
+  for_each_stat(
+      [](const stat_field& field, auto& to, const auto& v) {
+        switch (field.merge) {
+          case stat_merge::sum: to += v; break;
+          case stat_merge::max: to = std::max(to, v); break;
+          case stat_merge::first_set:
+            if (to == std::decay_t<decltype(to)>{}) to = v;
+            break;
+        }
+      },
+      into, from);
+  for (const fault_site_snapshot& site : from.fault_sites) {
+    auto it = std::ranges::find(into.fault_sites, site.site,
+                                &fault_site_snapshot::site);
+    if (it == into.fault_sites.end()) {
+      into.fault_sites.push_back(site);
+    } else {
+      it->hits += site.hits;
+      it->fired += site.fired;
+    }
+  }
+  for (const histogram_snapshot& h : from.histograms) {
+    auto it =
+        std::ranges::find(into.histograms, h.name, &histogram_snapshot::name);
+    if (it == into.histograms.end()) {
+      into.histograms.push_back(h);
+      continue;
+    }
+    it->count += h.count;
+    it->sum_ms += h.sum_ms;
+    it->max_ms = std::max(it->max_ms, h.max_ms);
+    it->buckets.resize(std::max(it->buckets.size(), h.buckets.size()));
+    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+      it->buckets[i] += h.buckets[i];
+    }
+  }
 }
 
 std::vector<std::uint8_t> encode_error(error_code code,

@@ -447,6 +447,82 @@ struct server_stats_reply {
   std::vector<histogram_snapshot> histograms;
 };
 
+/// How a fleet scrape combines one server_stats scalar across daemons.
+enum class stat_merge : std::uint8_t {
+  sum,        ///< counters, gauges and capacities add up fleet-wide
+  max,        ///< the longest-lived member's value (uptime)
+  first_set,  ///< the first member's non-empty value (disk directory)
+};
+
+/// One server_stats scalar's metadata: its Prometheus series, labels
+/// included (nullptr = not in the scrape), and its fleet merge rule.  A
+/// bare series name converts to a field merged by sum.
+struct stat_field {
+  stat_field(const char* s, stat_merge m = stat_merge::sum)
+      : series(s), merge(m) {}
+  const char* series;
+  stat_merge merge;
+};
+
+/// Names every server_stats scalar once, in wire order, calling
+/// `f(field, r.member...)` with that member of each reply.  The codec, the
+/// fleet merge and the Prometheus text are walks over this list, so a new
+/// counter is one line here (plus the server code that counts it) and a
+/// protocol_version bump, since it changes the wire layout.
+template <typename F, typename... Replies>
+void for_each_stat(F&& f, Replies&... r) {
+  f("xsfq_jobs_submitted_total", r.status.jobs_submitted...);
+  f("xsfq_jobs_completed_total", r.status.jobs_completed...);
+  f("xsfq_jobs_failed_total", r.status.jobs_failed...);
+  f("xsfq_active_connections", r.status.active_connections...);
+  f("xsfq_worker_threads", r.status.worker_threads...);
+  f("xsfq_steals_total", r.status.steals...);
+  f(stat_field{"xsfq_uptime_seconds", stat_merge::max}, r.status.uptime_s...);
+  f(R"(xsfq_cache_hits_total{tier="full"})", r.cache.full_hits...);
+  f(R"(xsfq_cache_misses_total{tier="full"})", r.cache.full_misses...);
+  f(R"(xsfq_cache_hits_total{tier="opt"})", r.cache.opt_hits...);
+  f(R"(xsfq_cache_misses_total{tier="opt"})", r.cache.opt_misses...);
+  f(R"(xsfq_cache_hits_total{tier="disk"})", r.cache.disk_hits...);
+  f(R"(xsfq_cache_misses_total{tier="disk"})", r.cache.disk_misses...);
+  f("xsfq_cache_disk_writes_total", r.cache.disk_writes...);
+  f("xsfq_cache_disk_quarantined_total", r.cache.disk_quarantined...);
+  f(R"(xsfq_cache_hits_total{tier="region"})", r.cache.region_hits...);
+  f(R"(xsfq_cache_misses_total{tier="region"})", r.cache.region_misses...);
+  f("xsfq_eco_patches_total", r.cache.eco_patches...);
+  f("xsfq_eco_retained_networks", r.cache.retained_networks...);
+  f("xsfq_eco_retained_evictions_total", r.cache.retained_evictions...);
+  f("xsfq_cache_disk_quarantine_pruned_total",
+    r.cache.disk_quarantine_pruned...);
+  f(stat_field{nullptr, stat_merge::first_set}, r.disk_directory...);
+  f("xsfq_admission_accepted_total", r.accepted...);
+  f(R"(xsfq_admission_rejected_total{reason="overload"})",
+    r.rejected_overload...);
+  f(R"(xsfq_admission_rejected_total{reason="deadline"})",
+    r.rejected_deadline...);
+  f(R"(xsfq_rejected_total{reason="auth"})", r.rejected_auth...);
+  f(R"(xsfq_rejected_total{reason="connections"})", r.rejected_conns...);
+  f("xsfq_admission_queue_depth_peak", r.peak_queue_depth...);
+  f("xsfq_admission_queue_depth", r.queue_depth...);
+  f("xsfq_admission_inflight", r.inflight...);
+  f("xsfq_admission_max_queue", r.max_queue...);
+  f("xsfq_admission_max_inflight", r.max_inflight...);
+  f("xsfq_max_connections", r.max_conns...);
+  f("xsfq_runner_queue_depth", r.runner_queue_depth...);
+  f("xsfq_eco_requests_total", r.eco_requests...);
+  f("xsfq_eco_retained_hits_total", r.eco_retained_hits...);
+  f("xsfq_eco_base_rebuilds_total", r.eco_base_rebuilds...);
+  f("xsfq_eco_failures_total", r.eco_failures...);
+  f("xsfq_io_timeouts_total", r.io_timeouts...);
+  f("xsfq_fault_fired_total", r.fault_fired...);
+  f("xsfq_trace_spans_recorded_total", r.trace_spans_recorded...);
+  f("xsfq_trace_spans_dropped_total", r.trace_spans_dropped...);
+}
+
+/// Folds one daemon's scrape into a fleet total: every scalar by its
+/// for_each_stat rule, fault sites by name, histograms bucket-wise.
+void merge_server_stats(server_stats_reply& into,
+                        const server_stats_reply& from);
+
 // Encoders return the payload bytes; decoders throw serialize_error (a
 // protocol violation the caller maps to an error frame) on malformed input.
 std::vector<std::uint8_t> encode_synth_request(const synth_request& req);

@@ -658,26 +658,20 @@ std::uint32_t server::retry_after_hint_ms() const {
   return static_cast<std::uint32_t>(std::clamp(hint, 10.0, 10000.0));
 }
 
-server_status server::status() const {
-  server_status s;
-  s.jobs_submitted = jobs_submitted_.load();
-  s.jobs_completed = jobs_completed_.load();
-  s.jobs_failed = jobs_failed_.load();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    s.active_connections = active_connections_locked();
-  }
-  s.worker_threads = runner_->num_threads();
-  s.steals = runner_->steals();
-  s.uptime_s = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start_time_)
-                   .count();
-  return s;
-}
-
 server_stats_reply server::stats() const {
   server_stats_reply reply;
-  reply.status = status();
+  reply.status.jobs_submitted = jobs_submitted_.load();
+  reply.status.jobs_completed = jobs_completed_.load();
+  reply.status.jobs_failed = jobs_failed_.load();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    reply.status.active_connections = active_connections_locked();
+  }
+  reply.status.worker_threads = runner_->num_threads();
+  reply.status.steals = runner_->steals();
+  reply.status.uptime_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start_time_)
+                              .count();
   reply.cache = runner_->cache_stats();
   reply.disk_directory = runner_->disk_cache_directory();
 
@@ -711,13 +705,9 @@ server_stats_reply server::stats() const {
 
   std::lock_guard<std::mutex> lock(hist_mutex_);
   for (const auto& [name, hist] : hist_.entries()) {
-    histogram_snapshot snap;
-    snap.name = name;
-    snap.count = hist.count();
-    snap.sum_ms = hist.sum_ms();
-    snap.max_ms = hist.max_ms();
-    snap.buckets.assign(hist.buckets().begin(), hist.buckets().end());
-    reply.histograms.push_back(std::move(snap));
+    reply.histograms.push_back(
+        {name, hist.count(), hist.sum_ms(), hist.max_ms(),
+         {hist.buckets().begin(), hist.buckets().end()}});
   }
   return reply;
 }

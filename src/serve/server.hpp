@@ -118,10 +118,8 @@ class server {
 
   [[nodiscard]] flow::batch_runner& runner() { return *runner_; }
   [[nodiscard]] const server_options& options() const { return options_; }
-  /// The job/connection/worker/uptime gauges of the stats() scrape.
-  [[nodiscard]] server_status status() const;
-  /// The full metrics scrape: status + cache tiers + admission counters +
-  /// the latency histograms folded from every recorded span.
+  /// The metrics scrape: job/connection/worker/uptime gauges, cache tiers,
+  /// admission counters and the histograms folded from every span.
   [[nodiscard]] server_stats_reply stats() const;
 
  private:

@@ -428,98 +428,53 @@ int render_synth_response(const synth_response& resp,
 #define XSFQ_GIT_SHA "unknown"
 #endif
 
+std::string prometheus_label_value(std::string_view value) {
+  std::string out;
+  for (const char c : value) {
+    if (c == '\\' || c == '"' || c == '\n') out += '\\';
+    out += c == '\n' ? 'n' : c;
+  }
+  return out;
+}
+
 std::string format_server_stats_text(const server_stats_reply& stats) {
   std::ostringstream os;
-  const auto& st = stats.status;
   // The standard build-identity gauge: constant 1, identity in the labels,
   // so dashboards can join any series against the running version.
   os << "xsfq_build_info{version=\"" XSFQ_VERSION "\",git_sha=\"" XSFQ_GIT_SHA
         "\"} 1\n";
-  os << "xsfq_uptime_seconds " << st.uptime_s << "\n"
-     << "xsfq_worker_threads " << st.worker_threads << "\n"
-     << "xsfq_active_connections " << st.active_connections << "\n"
-     << "xsfq_jobs_submitted_total " << st.jobs_submitted << "\n"
-     << "xsfq_jobs_completed_total " << st.jobs_completed << "\n"
-     << "xsfq_jobs_failed_total " << st.jobs_failed << "\n"
-     << "xsfq_steals_total " << st.steals << "\n";
+  for_each_stat(
+      [&os](const stat_field& field, const auto& v) {
+        if (field.series != nullptr) os << field.series << ' ' << v << '\n';
+      },
+      stats);
 
-  const auto& c = stats.cache;
-  os << "xsfq_cache_hits_total{tier=\"full\"} " << c.full_hits << "\n"
-     << "xsfq_cache_misses_total{tier=\"full\"} " << c.full_misses << "\n"
-     << "xsfq_cache_hits_total{tier=\"opt\"} " << c.opt_hits << "\n"
-     << "xsfq_cache_misses_total{tier=\"opt\"} " << c.opt_misses << "\n"
-     << "xsfq_cache_hits_total{tier=\"disk\"} " << c.disk_hits << "\n"
-     << "xsfq_cache_misses_total{tier=\"disk\"} " << c.disk_misses << "\n"
-     << "xsfq_cache_disk_writes_total " << c.disk_writes << "\n"
-     << "xsfq_cache_disk_quarantined_total " << c.disk_quarantined << "\n"
-     << "xsfq_cache_disk_quarantine_pruned_total " << c.disk_quarantine_pruned
-     << "\n"
-     << "xsfq_cache_hits_total{tier=\"region\"} " << c.region_hits << "\n"
-     << "xsfq_cache_misses_total{tier=\"region\"} " << c.region_misses
-     << "\n";
-
-  os << "xsfq_eco_requests_total " << stats.eco_requests << "\n"
-     << "xsfq_eco_retained_hits_total " << stats.eco_retained_hits << "\n"
-     << "xsfq_eco_base_rebuilds_total " << stats.eco_base_rebuilds << "\n"
-     << "xsfq_eco_failures_total " << stats.eco_failures << "\n"
-     << "xsfq_eco_patches_total " << c.eco_patches << "\n"
-     << "xsfq_eco_retained_networks " << c.retained_networks << "\n"
-     << "xsfq_eco_retained_evictions_total " << c.retained_evictions << "\n";
-
-  os << "xsfq_admission_accepted_total " << stats.accepted << "\n"
-     << "xsfq_admission_rejected_total{reason=\"overload\"} "
-     << stats.rejected_overload << "\n"
-     << "xsfq_admission_rejected_total{reason=\"deadline\"} "
-     << stats.rejected_deadline << "\n"
-     << "xsfq_rejected_total{reason=\"auth\"} " << stats.rejected_auth << "\n"
-     << "xsfq_rejected_total{reason=\"connections\"} " << stats.rejected_conns
-     << "\n"
-     << "xsfq_admission_queue_depth " << stats.queue_depth << "\n"
-     << "xsfq_admission_queue_depth_peak " << stats.peak_queue_depth << "\n"
-     << "xsfq_admission_inflight " << stats.inflight << "\n"
-     << "xsfq_admission_max_queue " << stats.max_queue << "\n"
-     << "xsfq_admission_max_inflight " << stats.max_inflight << "\n"
-     << "xsfq_max_connections " << stats.max_conns << "\n"
-     << "xsfq_runner_queue_depth " << stats.runner_queue_depth << "\n";
-
-  // v6 flight-recorder counters: spans written into the per-thread rings
-  // and spans lost to ring-wrap or collector caps.  A growing dropped count
-  // under normal load means the rings are undersized for the span rate.
-  os << "xsfq_trace_spans_recorded_total " << stats.trace_spans_recorded
-     << "\n"
-     << "xsfq_trace_spans_dropped_total " << stats.trace_spans_dropped
-     << "\n";
-
-  // v5 robustness counters.  Per-site lines appear only during chaos
-  // drills (the fault registry is empty otherwise), so a production scrape
-  // carries no fault noise.
-  os << "xsfq_io_timeouts_total " << stats.io_timeouts << "\n"
-     << "xsfq_fault_fired_total " << stats.fault_fired << "\n";
+  // Per-site fault lines appear only during chaos drills (the fault
+  // registry is empty otherwise), so a production scrape carries no fault
+  // noise.
   for (const auto& site : stats.fault_sites) {
-    os << "xsfq_fault_hits{site=\"" << site.site << "\"} " << site.hits
-       << "\n"
-       << "xsfq_fault_fired{site=\"" << site.site << "\"} " << site.fired
-       << "\n";
+    const std::string label = prometheus_label_value(site.site);
+    os << "xsfq_fault_hits{site=\"" << label << "\"} " << site.hits << "\n"
+       << "xsfq_fault_fired{site=\"" << label << "\"} " << site.fired << "\n";
   }
 
   // Sparse cumulative exposition: only buckets that actually hold samples
   // get a line (28 log buckets x N histograms would mostly be zeros), then
   // the implicit +Inf bucket equals _count as Prometheus requires.
   for (const auto& h : stats.histograms) {
+    const std::string name = prometheus_label_value(h.name);
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (h.buckets[i] == 0) continue;
       cumulative += h.buckets[i];
-      os << "xsfq_latency_ms_bucket{name=\"" << h.name << "\",le=\""
+      os << "xsfq_latency_ms_bucket{name=\"" << name << "\",le=\""
          << log_histogram::bucket_upper_ms(i) << "\"} " << cumulative << "\n";
     }
-    os << "xsfq_latency_ms_bucket{name=\"" << h.name << "\",le=\"+Inf\"} "
+    os << "xsfq_latency_ms_bucket{name=\"" << name << "\",le=\"+Inf\"} "
        << h.count << "\n"
-       << "xsfq_latency_ms_sum{name=\"" << h.name << "\"} " << h.sum_ms << "\n"
-       << "xsfq_latency_ms_count{name=\"" << h.name << "\"} " << h.count
-       << "\n"
-       << "xsfq_latency_ms_max{name=\"" << h.name << "\"} " << h.max_ms
-       << "\n";
+       << "xsfq_latency_ms_sum{name=\"" << name << "\"} " << h.sum_ms << "\n"
+       << "xsfq_latency_ms_count{name=\"" << name << "\"} " << h.count << "\n"
+       << "xsfq_latency_ms_max{name=\"" << name << "\"} " << h.max_ms << "\n";
   }
   return os.str();
 }

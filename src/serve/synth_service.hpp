@@ -16,6 +16,7 @@
 /// pool only serves a partitioned optimize's subtasks.
 
 #include <string>
+#include <string_view>
 
 #include "flow/batch_runner.hpp"
 #include "serve/protocol.hpp"
@@ -127,6 +128,11 @@ int render_synth_response(const synth_response& resp,
 /// (`xsfq_...` gauge/counter lines; histograms as sparse cumulative
 /// `_bucket{le="..."}` lines plus `_sum`/`_count`).  Behind
 /// `xsfq_client --stats`, and scrape-parseable by the CI smoke test.
+/// Lines follow for_each_stat order after the leading `xsfq_build_info`.
 std::string format_server_stats_text(const server_stats_reply& stats);
+
+/// A Prometheus label value with `\`, `"` and newline escaped, so any text
+/// (a fault-site name, an endpoint path) renders as one well-formed series.
+std::string prometheus_label_value(std::string_view value);
 
 }  // namespace xsfq::serve

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <string>
 
+#include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
 #include "serve/synth_service.hpp"
 #include "util/histogram.hpp"
@@ -150,6 +151,37 @@ TEST(PrometheusText, MalformedExpositionFails) {
   const std::string path = dir.path + "/bad.txt";
   write_file(path, "9bad_name 1\n");
   EXPECT_NE(run_checker(path), 0);
+}
+
+TEST(PrometheusText, LabelValuesFromOutsideAreEscaped) {
+  // Fault sites come from --faults=/XSFQ_FAULTS, endpoint ids from
+  // --socket/--tcp/--fleet: any text, quotes and backslashes included.
+  serve::fleet_stats fleet;
+  fleet.merged = sample_stats();
+  fleet.merged.fault_sites.push_back({"odd\"site", 1000, 0});
+  fleet.merged.histograms[1].name = "two\nlines";
+  fleet.endpoints_total = 1;
+  serve::endpoint_status ep;
+  ep.id = "unix:/tmp/a\"b\\c.sock";
+  ep.health = serve::endpoint_health::down;
+  fleet.endpoints.push_back(ep);
+  const std::string text = serve::format_fleet_stats_text(fleet);
+  EXPECT_NE(text.find("\nxsfq_fault_hits{site=\"odd\\\"site\"} 1000\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nxsfq_latency_ms_count{name=\"two\\nlines\"} 10\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find("\nxsfq_fleet_endpoint_up{endpoint=\"unix:/tmp/a\\\"b\\\\c"
+                ".sock\"} 0\n"),
+      std::string::npos)
+      << text;
+  if (!have_python3()) GTEST_SKIP() << "python3 not available";
+  temp_dir dir;
+  const std::string path = dir.path + "/fleet.txt";
+  write_file(path, text);
+  EXPECT_EQ(run_checker(path), 0) << "escaped scrape rejected by the lint";
 }
 
 TEST(PrometheusText, BuildInfoAndTraceCountersAreExposed) {

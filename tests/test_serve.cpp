@@ -21,6 +21,8 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <thread>
 
 #include "serve/client.hpp"
@@ -158,46 +160,6 @@ TEST(ServeProtocol, V3PayloadRoundTrips) {
   const error_reply fut = decode_error(fw.take());
   EXPECT_EQ(fut.code, error_code::generic);
   EXPECT_EQ(fut.message, "from the future");
-
-  server_stats_reply stats;
-  stats.status.jobs_submitted = 7;
-  stats.cache.full_hits = 3;
-  stats.cache.disk_quarantined = 2;
-  stats.accepted = 5;
-  stats.rejected_overload = 2;
-  stats.queue_depth = 1;
-  stats.runner_queue_depth = 4;
-  stats.io_timeouts = 6;
-  stats.fault_fired = 3;
-  stats.fault_sites.push_back({"serve.send.reset", 9, 3});
-  histogram_snapshot h;
-  h.name = "queue_wait";
-  h.count = 2;
-  h.sum_ms = 3.5;
-  h.max_ms = 3.0;
-  h.buckets.assign(log_histogram::num_buckets, 0);
-  h.buckets[4] = 2;
-  stats.histograms.push_back(h);
-  const server_stats_reply sback =
-      decode_server_stats(encode_server_stats(stats));
-  EXPECT_EQ(sback.status.jobs_submitted, 7u);
-  EXPECT_EQ(sback.cache.full_hits, 3u);
-  EXPECT_EQ(sback.accepted, 5u);
-  EXPECT_EQ(sback.rejected_overload, 2u);
-  EXPECT_EQ(sback.queue_depth, 1u);
-  EXPECT_EQ(sback.runner_queue_depth, 4u);
-  EXPECT_EQ(sback.cache.disk_quarantined, 2u);
-  EXPECT_EQ(sback.io_timeouts, 6u);
-  EXPECT_EQ(sback.fault_fired, 3u);
-  ASSERT_EQ(sback.fault_sites.size(), 1u);
-  EXPECT_EQ(sback.fault_sites[0].site, "serve.send.reset");
-  EXPECT_EQ(sback.fault_sites[0].hits, 9u);
-  EXPECT_EQ(sback.fault_sites[0].fired, 3u);
-  ASSERT_EQ(sback.histograms.size(), 1u);
-  EXPECT_EQ(sback.histograms[0].name, "queue_wait");
-  EXPECT_EQ(sback.histograms[0].count, 2u);
-  ASSERT_EQ(sback.histograms[0].buckets.size(), log_histogram::num_buckets);
-  EXPECT_EQ(sback.histograms[0].buckets[4], 2u);
 }
 
 TEST(ServeProtocol, V6TracePayloadRoundTrips) {
@@ -237,36 +199,242 @@ TEST(ServeProtocol, V6TracePayloadRoundTrips) {
       decode_trace_reply(encode_trace_reply({0x9ull, 0x9ull, {}}));
   EXPECT_EQ(eback.trace_hi, 0x9ull);
   EXPECT_TRUE(eback.spans.empty());
-
-  // v6 flight-recorder counters in the stats scrape.
-  server_stats_reply stats;
-  stats.trace_spans_recorded = 12345;
-  stats.trace_spans_dropped = 67;
-  const server_stats_reply sback =
-      decode_server_stats(encode_server_stats(stats));
-  EXPECT_EQ(sback.trace_spans_recorded, 12345u);
-  EXPECT_EQ(sback.trace_spans_dropped, 67u);
 }
 
-TEST(ServeProtocol, V7RetainedAndQuarantineCountersRoundTrip) {
-  // v7 appends the retained-tier LRU eviction count and the quarantine
-  // prune count to the stats codec.
-  server_stats_reply stats;
-  stats.cache.retained_evictions = 7;
-  stats.cache.disk_quarantine_pruned = 2;
-  const server_stats_reply sback =
-      decode_server_stats(encode_server_stats(stats));
-  EXPECT_EQ(sback.cache.retained_evictions, 7u);
-  EXPECT_EQ(sback.cache.disk_quarantine_pruned, 2u);
+/// Every server_stats scalar set by name to k times a distinct base value
+/// (1..41, the directory "/cache/k"), one fault site and one histogram.
+server_stats_reply every_field_stats(std::uint64_t k) {
+  const auto u32 = [k](std::uint64_t v) {
+    return static_cast<std::uint32_t>(k * v);
+  };
+  server_stats_reply s;
+  s.status.jobs_submitted = k * 1;
+  s.status.jobs_completed = k * 2;
+  s.status.jobs_failed = k * 3;
+  s.status.active_connections = k * 4;
+  s.status.worker_threads = u32(5);
+  s.status.steals = k * 6;
+  s.status.uptime_s = static_cast<double>(k) * 7.5;
+  s.cache.full_hits = k * 8;
+  s.cache.full_misses = k * 9;
+  s.cache.opt_hits = k * 10;
+  s.cache.opt_misses = k * 11;
+  s.cache.disk_hits = k * 12;
+  s.cache.disk_misses = k * 13;
+  s.cache.disk_writes = k * 14;
+  s.cache.disk_quarantined = k * 15;
+  s.cache.region_hits = k * 16;
+  s.cache.region_misses = k * 17;
+  s.cache.eco_patches = k * 18;
+  s.cache.retained_networks = k * 19;
+  s.cache.retained_evictions = k * 20;
+  s.cache.disk_quarantine_pruned = k * 21;
+  s.disk_directory = "/cache/" + std::to_string(k);
+  s.accepted = k * 22;
+  s.rejected_overload = k * 23;
+  s.rejected_deadline = k * 24;
+  s.rejected_auth = k * 25;
+  s.rejected_conns = k * 26;
+  s.peak_queue_depth = k * 27;
+  s.queue_depth = u32(28);
+  s.inflight = u32(29);
+  s.max_queue = u32(30);
+  s.max_inflight = u32(31);
+  s.max_conns = u32(32);
+  s.runner_queue_depth = k * 33;
+  s.eco_requests = k * 34;
+  s.eco_retained_hits = k * 35;
+  s.eco_base_rebuilds = k * 36;
+  s.eco_failures = k * 37;
+  s.io_timeouts = k * 38;
+  s.fault_fired = k * 39;
+  s.trace_spans_recorded = k * 40;
+  s.trace_spans_dropped = k * 41;
+  s.fault_sites.push_back({"serve.send.reset", k * 42, k * 43});
+  s.histograms.push_back({"request_total", k * 44,
+                          static_cast<double>(k) * 45.5,
+                          static_cast<double>(k) * 4.5, {0, k * 44, 0}});
+  return s;
+}
 
-  // And both surface in the Prometheus rendering.
-  const std::string text = format_server_stats_text(sback);
-  EXPECT_NE(text.find("xsfq_eco_retained_evictions_total 7"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("xsfq_cache_disk_quarantine_pruned_total 2"),
-            std::string::npos)
-      << text;
+/// The 42 scalars compared by name.
+void expect_same_scalars(const server_stats_reply& a,
+                         const server_stats_reply& b) {
+  EXPECT_EQ(a.status.jobs_submitted, b.status.jobs_submitted);
+  EXPECT_EQ(a.status.jobs_completed, b.status.jobs_completed);
+  EXPECT_EQ(a.status.jobs_failed, b.status.jobs_failed);
+  EXPECT_EQ(a.status.active_connections, b.status.active_connections);
+  EXPECT_EQ(a.status.worker_threads, b.status.worker_threads);
+  EXPECT_EQ(a.status.steals, b.status.steals);
+  EXPECT_EQ(a.status.uptime_s, b.status.uptime_s);
+  EXPECT_EQ(a.cache.full_hits, b.cache.full_hits);
+  EXPECT_EQ(a.cache.full_misses, b.cache.full_misses);
+  EXPECT_EQ(a.cache.opt_hits, b.cache.opt_hits);
+  EXPECT_EQ(a.cache.opt_misses, b.cache.opt_misses);
+  EXPECT_EQ(a.cache.disk_hits, b.cache.disk_hits);
+  EXPECT_EQ(a.cache.disk_misses, b.cache.disk_misses);
+  EXPECT_EQ(a.cache.disk_writes, b.cache.disk_writes);
+  EXPECT_EQ(a.cache.disk_quarantined, b.cache.disk_quarantined);
+  EXPECT_EQ(a.cache.region_hits, b.cache.region_hits);
+  EXPECT_EQ(a.cache.region_misses, b.cache.region_misses);
+  EXPECT_EQ(a.cache.eco_patches, b.cache.eco_patches);
+  EXPECT_EQ(a.cache.retained_networks, b.cache.retained_networks);
+  EXPECT_EQ(a.cache.retained_evictions, b.cache.retained_evictions);
+  EXPECT_EQ(a.cache.disk_quarantine_pruned, b.cache.disk_quarantine_pruned);
+  EXPECT_EQ(a.disk_directory, b.disk_directory);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.rejected_overload, b.rejected_overload);
+  EXPECT_EQ(a.rejected_deadline, b.rejected_deadline);
+  EXPECT_EQ(a.rejected_auth, b.rejected_auth);
+  EXPECT_EQ(a.rejected_conns, b.rejected_conns);
+  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
+  EXPECT_EQ(a.queue_depth, b.queue_depth);
+  EXPECT_EQ(a.inflight, b.inflight);
+  EXPECT_EQ(a.max_queue, b.max_queue);
+  EXPECT_EQ(a.max_inflight, b.max_inflight);
+  EXPECT_EQ(a.max_conns, b.max_conns);
+  EXPECT_EQ(a.runner_queue_depth, b.runner_queue_depth);
+  EXPECT_EQ(a.eco_requests, b.eco_requests);
+  EXPECT_EQ(a.eco_retained_hits, b.eco_retained_hits);
+  EXPECT_EQ(a.eco_base_rebuilds, b.eco_base_rebuilds);
+  EXPECT_EQ(a.eco_failures, b.eco_failures);
+  EXPECT_EQ(a.io_timeouts, b.io_timeouts);
+  EXPECT_EQ(a.fault_fired, b.fault_fired);
+  EXPECT_EQ(a.trace_spans_recorded, b.trace_spans_recorded);
+  EXPECT_EQ(a.trace_spans_dropped, b.trace_spans_dropped);
+}
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char digits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 15];
+  }
+  return out;
+}
+
+TEST(ServeProtocol, ServerStatsEveryFieldEncodesMergesAndRenders) {
+  const server_stats_reply one = every_field_stats(1);
+
+  // The wire bytes, pinned: a reordered for_each_stat line or a changed
+  // field width fails here (protocol v8 layout, docs/protocol.md).
+  EXPECT_EQ(
+      to_hex(encode_server_stats(one)),
+      "0100000000000000020000000000000003000000000000000400000000000000"
+      "0500000006000000000000000000000000001e40080000000000000009000000"
+      "000000000a000000000000000b000000000000000c000000000000000d000000"
+      "000000000e000000000000000f00000000000000100000000000000011000000"
+      "0000000012000000000000001300000000000000140000000000000015000000"
+      "0000000008000000000000002f63616368652f31160000000000000017000000"
+      "00000000180000000000000019000000000000001a000000000000001b000000"
+      "000000001c0000001d0000001e0000001f000000200000002100000000000000"
+      "2200000000000000230000000000000024000000000000002500000000000000"
+      "2600000000000000270000000000000028000000000000002900000000000000"
+      "0100000000000000100000000000000073657276652e73656e642e7265736574"
+      "2a000000000000002b0000000000000001000000000000000d00000000000000"
+      "726571756573745f746f74616c2c000000000000000000000000c04640000000"
+      "0000001240030000000000000000000000000000002c00000000000000000000"
+      "0000000000");
+
+  const server_stats_reply back =
+      decode_server_stats(encode_server_stats(one));
+  expect_same_scalars(back, one);
+  ASSERT_EQ(back.fault_sites.size(), 1u);
+  EXPECT_EQ(back.fault_sites[0].site, "serve.send.reset");
+  EXPECT_EQ(back.fault_sites[0].hits, 42u);
+  EXPECT_EQ(back.fault_sites[0].fired, 43u);
+  ASSERT_EQ(back.histograms.size(), 1u);
+  EXPECT_EQ(back.histograms[0].name, "request_total");
+  EXPECT_EQ(back.histograms[0].count, 44u);
+  EXPECT_EQ(back.histograms[0].sum_ms, 45.5);
+  EXPECT_EQ(back.histograms[0].max_ms, 4.5);
+  EXPECT_EQ(back.histograms[0].buckets,
+            (std::vector<std::uint64_t>{0, 44, 0}));
+
+  // The fleet merge, from an empty total as fleet_client::stats() starts:
+  // sums everywhere, the longest uptime, the first non-empty directory,
+  // fault sites by name and histograms bucket-wise.
+  server_stats_reply two = every_field_stats(2);
+  two.fault_sites.push_back({"disk.write", 5, 6});
+  two.histograms.push_back({"queue_wait", 1, 0.5, 0.5, {1}});
+  server_stats_reply merged;
+  merge_server_stats(merged, one);
+  merge_server_stats(merged, two);
+  server_stats_reply expected = every_field_stats(3);
+  expected.status.uptime_s = 15.0;
+  expected.disk_directory = "/cache/1";
+  expect_same_scalars(merged, expected);
+  ASSERT_EQ(merged.fault_sites.size(), 2u);
+  EXPECT_EQ(merged.fault_sites[0].site, "serve.send.reset");
+  EXPECT_EQ(merged.fault_sites[0].hits, 126u);
+  EXPECT_EQ(merged.fault_sites[0].fired, 129u);
+  EXPECT_EQ(merged.fault_sites[1].site, "disk.write");
+  EXPECT_EQ(merged.fault_sites[1].hits, 5u);
+  ASSERT_EQ(merged.histograms.size(), 2u);
+  EXPECT_EQ(merged.histograms[0].count, 132u);
+  EXPECT_EQ(merged.histograms[0].sum_ms, 136.5);
+  EXPECT_EQ(merged.histograms[0].max_ms, 9.0);
+  EXPECT_EQ(merged.histograms[0].buckets,
+            (std::vector<std::uint64_t>{0, 132, 0}));
+  EXPECT_EQ(merged.histograms[1].name, "queue_wait");
+  EXPECT_EQ(merged.histograms[1].count, 1u);
+
+  // Every series line of the scrape; the directory has none.
+  const std::string text = format_server_stats_text(one);
+  EXPECT_EQ(text.rfind("xsfq_build_info{", 0), 0u) << text;
+  std::istringstream in(text);
+  std::set<std::string> lines;
+  for (std::string l; std::getline(in, l);) lines.insert(l);
+  for (const char* line : {
+           "xsfq_jobs_submitted_total 1",
+           "xsfq_jobs_completed_total 2",
+           "xsfq_jobs_failed_total 3",
+           "xsfq_active_connections 4",
+           "xsfq_worker_threads 5",
+           "xsfq_steals_total 6",
+           "xsfq_uptime_seconds 7.5",
+           "xsfq_cache_hits_total{tier=\"full\"} 8",
+           "xsfq_cache_misses_total{tier=\"full\"} 9",
+           "xsfq_cache_hits_total{tier=\"opt\"} 10",
+           "xsfq_cache_misses_total{tier=\"opt\"} 11",
+           "xsfq_cache_hits_total{tier=\"disk\"} 12",
+           "xsfq_cache_misses_total{tier=\"disk\"} 13",
+           "xsfq_cache_disk_writes_total 14",
+           "xsfq_cache_disk_quarantined_total 15",
+           "xsfq_cache_hits_total{tier=\"region\"} 16",
+           "xsfq_cache_misses_total{tier=\"region\"} 17",
+           "xsfq_eco_patches_total 18",
+           "xsfq_eco_retained_networks 19",
+           "xsfq_eco_retained_evictions_total 20",
+           "xsfq_cache_disk_quarantine_pruned_total 21",
+           "xsfq_admission_accepted_total 22",
+           "xsfq_admission_rejected_total{reason=\"overload\"} 23",
+           "xsfq_admission_rejected_total{reason=\"deadline\"} 24",
+           "xsfq_rejected_total{reason=\"auth\"} 25",
+           "xsfq_rejected_total{reason=\"connections\"} 26",
+           "xsfq_admission_queue_depth_peak 27",
+           "xsfq_admission_queue_depth 28",
+           "xsfq_admission_inflight 29",
+           "xsfq_admission_max_queue 30",
+           "xsfq_admission_max_inflight 31",
+           "xsfq_max_connections 32",
+           "xsfq_runner_queue_depth 33",
+           "xsfq_eco_requests_total 34",
+           "xsfq_eco_retained_hits_total 35",
+           "xsfq_eco_base_rebuilds_total 36",
+           "xsfq_eco_failures_total 37",
+           "xsfq_io_timeouts_total 38",
+           "xsfq_fault_fired_total 39",
+           "xsfq_trace_spans_recorded_total 40",
+           "xsfq_trace_spans_dropped_total 41",
+           "xsfq_fault_hits{site=\"serve.send.reset\"} 42",
+           "xsfq_fault_fired{site=\"serve.send.reset\"} 43",
+           "xsfq_latency_ms_count{name=\"request_total\"} 44",
+       }) {
+    EXPECT_EQ(lines.count(line), 1u) << line;
+  }
+  EXPECT_EQ(text.find("/cache/1"), std::string::npos);
 }
 
 TEST(ServeProtocol, RetryAfterHintRoundTripsAndDegradesPerVersion) {
@@ -432,7 +600,7 @@ TEST(ServeEndToEnd, ConcurrentClientsGetByteIdenticalResults) {
     EXPECT_TRUE(ok[i]) << circuits[i];
     EXPECT_EQ(got[i], expected_reports[i]) << circuits[i];
   }
-  const auto status = fx.srv->status();
+  const auto status = fx.srv->stats().status;
   EXPECT_EQ(status.jobs_submitted, circuits.size());
   EXPECT_EQ(status.jobs_completed, circuits.size());
 }
@@ -532,7 +700,7 @@ TEST(ServeEndToEnd, FailuresComeBackAsErrorResponsesNotHangs) {
   EXPECT_FALSE(resp.error.empty());
   // The connection survives a failed request.
   EXPECT_TRUE(cli.ping());
-  EXPECT_EQ(fx.srv->status().jobs_failed, 1u);
+  EXPECT_EQ(fx.srv->stats().status.jobs_failed, 1u);
 }
 
 TEST(ServeEndToEnd, UnknownAndGarbageFramesGetErrorFrames) {
@@ -868,7 +1036,7 @@ TEST(ServeEndToEnd, ConnectCloseStormOnBothListenersWhileScraping) {
   // Handlers notice end-of-stream asynchronously; wait for all of them.
   std::uint64_t active = 1;
   for (int attempt = 0; attempt < 500 && active != 0; ++attempt) {
-    active = fx.srv->status().active_connections;
+    active = fx.srv->stats().status.active_connections;
     if (active != 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }

@@ -56,7 +56,7 @@ xsfq_latency_ms_count{name="request_total"} 8
 
 def parse_line(line, where, errors):
     """Returns (series_key, metric_name, value) or None after reporting."""
-    if line.startswith("#"):  # HELP/TYPE/comment lines: not emitted, but legal
+    if line.startswith("#"):  # HELP/TYPE (the fleet scrape) or a comment
         return None
     # Split the sample value off the end; labels may contain spaces.
     if line.endswith("}") or " " not in line:
