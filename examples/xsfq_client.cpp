@@ -19,8 +19,8 @@
 /// Several specs run in order (a corpus).  --no-timing drops the
 /// wall-clock footer for diffing; --progress streams the daemon's
 /// per-stage events to stderr.  --priority=0..255 orders the wait for an
-/// execution slot; --deadline-ms=X fails a request that waits longer with
-/// a typed `deadline_expired` error.
+/// execution slot; --deadline-ms=X (0..86400000) fails a request that
+/// waits longer with a typed `deadline_expired` error.
 ///
 /// Incremental resynthesis (v4): --edit=FILE submits the one circuit as an
 /// edit script applied to the previously synthesized base, whose content
@@ -237,9 +237,10 @@ int main(int argc, char** argv) {
                !vd.empty()) {
       char* end = nullptr;
       const double d = std::strtod(vd.c_str(), &end);
-      if (end == vd.c_str() || *end != '\0' || d < 0.0) {
-        std::cerr << "--deadline-ms expects a non-negative number, got: "
-                  << vd << "\n";
+      // Negated so NaN fails too (strtod also accepts "inf" and "nan").
+      if (end == vd.c_str() || *end != '\0' ||
+          !(d >= 0.0 && d <= serve::max_deadline_ms)) {
+        std::cerr << "--deadline-ms expects 0..86400000, got: " << vd << "\n";
         return 2;
       }
       deadline_ms = d;

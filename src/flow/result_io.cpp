@@ -2,204 +2,17 @@
 
 #include <cstdint>
 
-namespace xsfq::flow {
+namespace xsfq {
 
-namespace {
-
-// ----- aig -----------------------------------------------------------------
-
-void write_signal(byte_writer& w, signal s) { w.u32(s.raw()); }
-signal read_signal(byte_reader& r) { return signal::from_raw(r.u32()); }
-
-// ----- small stat structs ---------------------------------------------------
-
-void write_opt_counters(byte_writer& w, const opt_counters& c) {
-  w.u64(c.passes);
-  w.u64(c.cuts_enumerated);
-  w.u64(c.cut_candidates);
-  w.u64(c.mffc_queries);
-  w.u64(c.replacements);
-  w.u64(c.resynth_cache_hits);
-  w.u64(c.cut_arena_bytes);
-  w.u64(c.equiv_checks);
-  w.u64(c.sim_words);
-  w.u64(c.sim_node_evals);
-  w.u64(c.net_arena_bytes);
-  w.u64(c.rebuilds_avoided);
-}
-
-opt_counters read_opt_counters(byte_reader& r) {
-  opt_counters c;
-  c.passes = r.u64();
-  c.cuts_enumerated = r.u64();
-  c.cut_candidates = r.u64();
-  c.mffc_queries = r.u64();
-  c.replacements = r.u64();
-  c.resynth_cache_hits = r.u64();
-  c.cut_arena_bytes = r.u64();
-  c.equiv_checks = r.u64();
-  c.sim_words = r.u64();
-  c.sim_node_evals = r.u64();
-  c.net_arena_bytes = r.u64();
-  c.rebuilds_avoided = r.u64();
-  return c;
-}
-
-void write_optimize_stats(byte_writer& w, const optimize_stats& s) {
-  w.u64(s.initial_gates);
-  w.u64(s.final_gates);
-  w.u32(s.initial_depth);
-  w.u32(s.final_depth);
-  w.u32(s.rounds);
-  write_opt_counters(w, s.work);
-}
-
-optimize_stats read_optimize_stats(byte_reader& r) {
-  optimize_stats s;
-  s.initial_gates = r.u64();
-  s.final_gates = r.u64();
-  s.initial_depth = r.u32();
-  s.final_depth = r.u32();
-  s.rounds = r.u32();
-  s.work = read_opt_counters(r);
-  return s;
-}
-
-void write_rsfq_stats(byte_writer& w, const rsfq_stats& s) {
-  w.u64(s.logic_cells);
-  w.u64(s.not_cells);
-  w.u64(s.balancing_dros);
-  w.u64(s.dffs);
-  w.u64(s.data_splitters);
-  w.u64(s.clocked_cells);
-  w.u32(s.depth);
-  w.u64(s.jj_without_clock);
-  w.u64(s.jj_with_clock);
-}
-
-rsfq_stats read_rsfq_stats(byte_reader& r) {
-  rsfq_stats s;
-  s.logic_cells = r.u64();
-  s.not_cells = r.u64();
-  s.balancing_dros = r.u64();
-  s.dffs = r.u64();
-  s.data_splitters = r.u64();
-  s.clocked_cells = r.u64();
-  s.depth = r.u32();
-  s.jj_without_clock = r.u64();
-  s.jj_with_clock = r.u64();
-  return s;
-}
-
-// ----- xsfq netlist ---------------------------------------------------------
-
-void write_port_ref(byte_writer& w, const port_ref& p) {
-  w.u32(p.element);
-  w.u8(p.port);
-}
-
-port_ref read_port_ref(byte_reader& r) {
-  port_ref p;
-  p.element = r.u32();
-  p.port = r.u8();
-  return p;
-}
-
-void write_netlist(byte_writer& w, const xsfq_netlist& netlist) {
-  w.u64(netlist.size());
-  for (const xsfq_element& e : netlist.elements()) {
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    write_port_ref(w, e.fanin0);
-    write_port_ref(w, e.fanin1);
-    w.i64(e.aig_node);
-    w.boolean(e.rail);
-    w.u16(e.pipeline_rank);
-    w.boolean(e.feedback_input);
-    w.str(e.name);
-  }
-}
-
-xsfq_netlist read_netlist(byte_reader& r) {
-  xsfq_netlist netlist;
-  const std::size_t n = r.count(/*min_element_bytes=*/1);
-  for (std::size_t i = 0; i < n; ++i) {
-    xsfq_element e;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(element_kind::output_port)) {
-      throw serialize_error("netlist element kind out of range");
-    }
-    e.kind = static_cast<element_kind>(kind);
-    e.fanin0 = read_port_ref(r);
-    e.fanin1 = read_port_ref(r);
-    e.aig_node = r.i64();
-    e.rail = r.boolean();
-    e.pipeline_rank = r.u16();
-    e.feedback_input = r.boolean();
-    e.name = r.str();
-    netlist.add_element(std::move(e));
-  }
-  return netlist;
-}
-
-void write_mapping_stats(byte_writer& w, const mapping_stats& s) {
-  w.u64(s.la_cells);
-  w.u64(s.fa_cells);
-  w.u64(s.splitters);
-  w.u64(s.drocs_plain);
-  w.u64(s.drocs_preload);
-  w.u64(s.nodes_used);
-  w.f64(s.duplication);
-  w.u64(s.jj);
-  w.u64(s.jj_ptl);
-  w.i64(s.eq1_splitters);
-  w.u32(s.depth);
-  w.u32(s.depth_with_splitters);
-  w.f64(s.circuit_ghz);
-  w.f64(s.architectural_ghz);
-}
-
-mapping_stats read_mapping_stats(byte_reader& r) {
-  mapping_stats s;
-  s.la_cells = r.u64();
-  s.fa_cells = r.u64();
-  s.splitters = r.u64();
-  s.drocs_plain = r.u64();
-  s.drocs_preload = r.u64();
-  s.nodes_used = r.u64();
-  s.duplication = r.f64();
-  s.jj = r.u64();
-  s.jj_ptl = r.u64();
-  s.eq1_splitters = static_cast<long>(r.i64());
-  s.depth = r.u32();
-  s.depth_with_splitters = r.u32();
-  s.circuit_ghz = r.f64();
-  s.architectural_ghz = r.f64();
-  return s;
-}
-
-void write_bool_vector(byte_writer& w, const std::vector<bool>& v) {
-  w.u64(v.size());
-  for (const bool b : v) w.boolean(b);
-}
-
-std::vector<bool> read_bool_vector(byte_reader& r) {
-  const std::size_t n = r.count(/*min_element_bytes=*/1);
-  std::vector<bool> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = r.boolean();
-  return v;
-}
-
-}  // namespace
-
-void write_aig(byte_writer& w, const aig& network) {
+void write_field(byte_writer& w, const aig& network) {
   w.u64(network.size());
   // Node records: CIs carry nothing (ordinal order is node order), gates
   // carry their fanins.  Node 0 is always the constant and is implied.
   for (aig::node_index n = 1; n < network.size(); ++n) {
     w.u8(static_cast<std::uint8_t>(network.type_of(n)));
     if (network.is_gate(n)) {
-      write_signal(w, network.fanin0(n));
-      write_signal(w, network.fanin1(n));
+      w.u32(network.fanin0(n).raw());
+      w.u32(network.fanin1(n).raw());
     }
   }
   w.u64(network.num_pis());
@@ -208,7 +21,7 @@ void write_aig(byte_writer& w, const aig& network) {
   }
   w.u64(network.num_pos());
   for (std::size_t i = 0; i < network.num_pos(); ++i) {
-    write_signal(w, network.po_signal(i));
+    w.u32(network.po_signal(i).raw());
     w.str(network.po_name(i));
   }
   w.u64(network.num_registers());
@@ -216,13 +29,13 @@ void write_aig(byte_writer& w, const aig& network) {
     const auto& reg = network.register_at(i);
     w.boolean(reg.init);
     w.boolean(reg.input_set);
-    write_signal(w, reg.input);
+    w.u32(reg.input.raw());
     w.str(network.register_name(i));
   }
   w.u64(network.content_hash());
 }
 
-aig read_aig(byte_reader& r) {
+void read_field(byte_reader& r, aig& network) {
   const std::size_t num_nodes = r.count(/*min_element_bytes=*/1);
   if (num_nodes == 0) throw serialize_error("aig without constant node");
 
@@ -241,8 +54,8 @@ aig read_aig(byte_reader& r) {
     }
     rec.type = static_cast<aig::node_type>(type);
     if (rec.type == aig::node_type::gate) {
-      rec.fanin0 = read_signal(r);
-      rec.fanin1 = read_signal(r);
+      rec.fanin0 = signal::from_raw(r.u32());
+      rec.fanin1 = signal::from_raw(r.u32());
       if (rec.fanin0.index() >= n || rec.fanin1.index() >= n) {
         throw serialize_error("aig gate fanin not topological");
       }
@@ -261,7 +74,7 @@ aig read_aig(byte_reader& r) {
   const std::size_t num_pos = r.count(4);
   std::vector<po_record> pos(num_pos);
   for (auto& po : pos) {
-    po.s = read_signal(r);
+    po.s = signal::from_raw(r.u32());
     po.name = r.str();
   }
 
@@ -275,7 +88,7 @@ aig read_aig(byte_reader& r) {
   for (auto& reg : regs) {
     reg.init = r.boolean();
     reg.input_set = r.boolean();
-    reg.input = read_signal(r);
+    reg.input = signal::from_raw(r.u32());
     reg.name = r.str();
   }
   const std::uint64_t stored_hash = r.u64();
@@ -285,7 +98,7 @@ aig read_aig(byte_reader& r) {
   // the strash table and trivial-case simplification behave identically and
   // every node lands at its original index; any deviation means the record
   // does not describe a well-formed strashed AIG.
-  aig network;
+  network.reset();
   std::size_t pi_cursor = 0;
   std::size_t reg_cursor = 0;
   for (std::size_t n = 1; n < num_nodes; ++n) {
@@ -339,100 +152,55 @@ aig read_aig(byte_reader& r) {
   if (network.content_hash() != stored_hash) {
     throw serialize_error("aig content hash mismatch");
   }
-  return network;
 }
 
-void write_stage_timings(byte_writer& w,
-                         const std::vector<stage_timing>& timings) {
-  w.u64(timings.size());
-  for (const stage_timing& t : timings) {
-    w.str(t.stage);
-    w.f64(t.ms);
-    write_stage_counters(w, t.counters);
+void write_field(byte_writer& w, const xsfq_netlist& netlist) {
+  write_field(w, netlist.elements());
+}
+
+void read_field(byte_reader& r, xsfq_netlist& netlist) {
+  const std::size_t n = r.count(min_bytes<xsfq_element>());
+  netlist.clear();
+  netlist.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xsfq_element e;
+    read_field(r, e);
+    // Every reference the element's kind reads names port 0 or 1 of an
+    // earlier element (the netlist is topological), and a boundary DROC's
+    // unused fanin0 is the default: consumers index by these unchecked.
+    const bool reads0 = e.kind != element_kind::input_rail &&
+                        e.kind != element_kind::const_rail;
+    const bool reads1 =
+        e.kind == element_kind::la || e.kind == element_kind::fa;
+    const auto earlier = [i](port_ref p) {
+      return p.element < i && p.port <= 1;
+    };
+    const bool fanin0_ok =
+        e.feedback_input ? e.fanin0 == port_ref{} : earlier(e.fanin0);
+    if ((reads0 && !fanin0_ok) || (reads1 && !earlier(e.fanin1))) {
+      throw serialize_error("netlist fanin reference out of range");
+    }
+    netlist.add_element(std::move(e));
   }
 }
 
-std::vector<stage_timing> read_stage_timings(byte_reader& r) {
-  const std::size_t n = r.count(/*min_element_bytes=*/8);
-  std::vector<stage_timing> timings(n);
-  for (auto& t : timings) {
-    t.stage = r.str();
-    t.ms = r.f64();
-    t.counters = read_stage_counters(r);
-  }
-  return timings;
-}
+}  // namespace xsfq
 
-void write_mapping_result(byte_writer& w, const mapping_result& mapped) {
-  write_netlist(w, mapped.netlist);
-  write_mapping_stats(w, mapped.stats);
-  write_bool_vector(w, mapped.co_negated);
-  w.u64(mapped.register_feedback.size());
-  for (const auto& [element, port] : mapped.register_feedback) {
-    w.u32(element);
-    write_port_ref(w, port);
-  }
-}
-
-mapping_result read_mapping_result(byte_reader& r) {
-  mapping_result mapped;
-  mapped.netlist = read_netlist(r);
-  mapped.stats = read_mapping_stats(r);
-  mapped.co_negated = read_bool_vector(r);
-  const std::size_t n = r.count(/*min_element_bytes=*/9);
-  mapped.register_feedback.resize(n);
-  for (auto& [element, port] : mapped.register_feedback) {
-    element = r.u32();
-    port = read_port_ref(r);
-  }
-  return mapped;
-}
-
-void write_stage_counters(byte_writer& w, const stage_counters& c) {
-  w.u64(c.nodes);
-  w.u64(c.cuts);
-  w.u64(c.replacements);
-  w.u64(c.arena_bytes);
-  w.u64(c.sim_words);
-  w.u64(c.sim_node_evals);
-  w.u64(c.arena_peak_bytes);
-  w.u64(c.rebuilds_avoided);
-}
-
-stage_counters read_stage_counters(byte_reader& r) {
-  stage_counters c;
-  c.nodes = r.u64();
-  c.cuts = r.u64();
-  c.replacements = r.u64();
-  c.arena_bytes = r.u64();
-  c.sim_words = r.u64();
-  c.sim_node_evals = r.u64();
-  c.arena_peak_bytes = r.u64();
-  c.rebuilds_avoided = r.u64();
-  return c;
-}
+namespace xsfq::flow {
 
 void write_flow_result(byte_writer& w, const flow_result& result) {
-  w.str(result.name);
-  write_aig(w, result.optimized);
-  write_optimize_stats(w, result.opt_stats);
-  write_mapping_result(w, result.mapped);
-  write_rsfq_stats(w, result.baseline);
-  w.str(result.verilog);
-  write_stage_timings(w, result.timings);
-  w.f64(result.total_ms);
+  write_field(w, result);
 }
 
 flow_result read_flow_result(byte_reader& r) {
   flow_result result;
-  result.name = r.str();
-  result.optimized = read_aig(r);
-  result.opt_stats = read_optimize_stats(r);
-  result.mapped = read_mapping_result(r);
-  result.baseline = read_rsfq_stats(r);
-  result.verilog = r.str();
-  result.timings = read_stage_timings(r);
-  result.total_ms = r.f64();
+  read_field(r, result);
+  const std::size_t n = result.mapped.netlist.size();
+  for (const auto& [droc, driver] : result.mapped.register_feedback) {
+    if (droc >= n || driver.element >= n || driver.port > 1) {
+      throw serialize_error("register feedback reference out of range");
+    }
+  }
   return result;
 }
 

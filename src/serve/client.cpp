@@ -141,14 +141,6 @@ frame client::roundtrip(msg_type request,
   return *std::move(f);
 }
 
-hello_reply client::hello(const std::string& client_name) {
-  hello_request req;
-  req.client_name = client_name;
-  const frame f =
-      roundtrip(msg_type::hello, encode_hello_request(req), msg_type::hello_ok);
-  return decode_hello_reply(f.payload);
-}
-
 void client::authenticate(const std::string& token) {
   auth_request req;
   req.token = token;

@@ -47,8 +47,8 @@ class client {
   explicit client(const std::string& socket_path);
 
   /// Connects over TCP without authenticating: if the daemon was started
-  /// with an auth token, every request other than hello() is rejected until
-  /// authenticate() succeeds on this connection.
+  /// with an auth token, every request is rejected until authenticate()
+  /// succeeds on this connection.
   client(const std::string& host, std::uint16_t port);
 
   ~client();
@@ -63,10 +63,6 @@ class client {
   void set_receive_timeout_ms(int timeout_ms);
 
   using progress_fn = std::function<void(const progress_event&)>;
-
-  /// v3 capability exchange: the daemon's version, whether THIS connection
-  /// still needs auth, and its capability strings.  Allowed before auth.
-  hello_reply hello(const std::string& client_name = "xsfq_client");
 
   /// Presents the shared-secret token.  Returns normally on success; throws
   /// service_error{auth_failed} on mismatch (the daemon also closes the

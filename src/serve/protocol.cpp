@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <type_traits>
 
@@ -18,53 +17,21 @@ namespace {
 
 constexpr std::size_t header_bytes = 6;  // u32 len + u8 version + u8 type
 
-void write_mapping_params(byte_writer& w, const mapping_params& params) {
-  w.u8(static_cast<std::uint8_t>(params.polarity));
-  w.u32(params.pipeline_stages);
-  w.u8(static_cast<std::uint8_t>(params.reg_style));
-  w.boolean(params.forced_polarities.has_value());
-  if (params.forced_polarities) {
-    w.u64(params.forced_polarities->size());
-    for (const bool negate : *params.forced_polarities) w.boolean(negate);
-  }
+template <typename T>
+std::vector<std::uint8_t> encode(const T& payload) {
+  byte_writer w;
+  write_field(w, payload);
+  return w.take();
 }
 
-mapping_params read_mapping_params(byte_reader& r) {
-  mapping_params params;
-  const std::uint8_t polarity = r.u8();
-  if (polarity > static_cast<std::uint8_t>(polarity_mode::optimized)) {
-    throw serialize_error("polarity mode out of range");
-  }
-  params.polarity = static_cast<polarity_mode>(polarity);
-  params.pipeline_stages = r.u32();
-  // Same cap the CLIs enforce; a long-lived daemon must not run the mapper
-  // with an absurd rank count from one hand-crafted frame.
-  if (params.pipeline_stages > 64) {
-    throw serialize_error("pipeline stage count out of range");
-  }
-  const std::uint8_t style = r.u8();
-  if (style > static_cast<std::uint8_t>(register_style::pair_retimed)) {
-    throw serialize_error("register style out of range");
-  }
-  params.reg_style = static_cast<register_style>(style);
-  if (r.boolean()) {
-    const std::size_t n = r.count(/*min_element_bytes=*/1);
-    std::vector<bool> forced(n);
-    for (std::size_t i = 0; i < n; ++i) forced[i] = r.boolean();
-    params.forced_polarities = std::move(forced);
-  }
-  return params;
+template <typename T>
+T decode(std::span<const std::uint8_t> bytes) {
+  byte_reader r(bytes);
+  T payload;
+  read_field(r, payload);
+  r.expect_done();
+  return payload;
 }
-
-// One wire codec per server_stats scalar type (see for_each_stat).
-void put(byte_writer& w, std::uint64_t v) { w.u64(v); }
-void put(byte_writer& w, std::uint32_t v) { w.u32(v); }
-void put(byte_writer& w, double v) { w.f64(v); }
-void put(byte_writer& w, const std::string& v) { w.str(v); }
-void get(byte_reader& r, std::uint64_t& v) { v = r.u64(); }
-void get(byte_reader& r, std::uint32_t& v) { v = r.u32(); }
-void get(byte_reader& r, double& v) { v = r.f64(); }
-void get(byte_reader& r, std::string& v) { v = r.str(); }
 
 }  // namespace
 
@@ -177,12 +144,6 @@ std::optional<frame> read_frame_fd(int fd, int io_timeout_ms,
 
 void write_frame_fd(int fd, msg_type type,
                     std::span<const std::uint8_t> payload,
-                    std::uint8_t version) {
-  write_frame_fd(fd, type, payload, version, /*io_timeout_ms=*/0);
-}
-
-void write_frame_fd(int fd, msg_type type,
-                    std::span<const std::uint8_t> payload,
                     std::uint8_t version, int io_timeout_ms) {
   const std::vector<std::uint8_t> bytes = encode_frame(type, payload, version);
   std::size_t written = 0;
@@ -213,64 +174,69 @@ void write_frame_fd(int fd, msg_type type,
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs.
+// Payload codecs: each struct's field list, in wire order, walked by
+// write_field/read_field (util/serialize.hpp).  The lists for the flow types
+// a payload nests (mapping_params, stage_counters, stage_timing) live in
+// flow/result_io.hpp.
 // ---------------------------------------------------------------------------
 
+auto fields(of<synth_request> auto& q, auto&& f) {
+  // The flow_jobs and partition_grain caps are the CLIs': one hand-crafted
+  // frame must not make the daemon partition into degenerate regions.
+  return f(q.spec,
+           bounded{q.source, circuit_source::registry,
+                   circuit_source::blif_text, "circuit source"},
+           q.source_text, q.model, q.map, q.validate, q.want_verilog,
+           q.want_dot, q.stream_progress,
+           bounded{q.flow_jobs, 1u, 256u, "flow_jobs"}, q.priority,
+           bounded{q.deadline_ms, 0.0, max_deadline_ms, "deadline_ms"},
+           bounded{q.partition_grain, 0u, 100000u, "partition_grain"},
+           q.trace_hi, q.trace_lo);
+}
+
+/// Follows the length-prefixed `base`, which the delta codec nests by hand.
+auto fields(of<synth_delta_request> auto& d, auto&& f) {
+  return f(d.base_content_hash, d.edit_text, d.supersede_base, d.force_full);
+}
+
+auto fields(of<progress_event> auto& e, auto&& f) {
+  return f(e.stage, e.index, e.total, e.ms, e.counters, e.from_cache);
+}
+
+auto fields(of<synth_response> auto& s, auto&& f) {
+  return f(s.ok, s.error, s.report, s.validate_report, s.validate_ok,
+           s.verilog, s.dot, s.timings, s.total_ms, s.served_from_cache,
+           s.content_hash);
+}
+
+auto fields(of<auth_request> auto& a, auto&& f) { return f(a.token); }
+
+auto fields(of<trace_request> auto& t, auto&& f) {
+  return f(t.trace_hi, t.trace_lo);
+}
+
+auto fields(of<trace_span> auto& s, auto&& f) {
+  return f(s.name, s.start_us, s.dur_us, s.tid);
+}
+
+auto fields(of<trace_reply> auto& t, auto&& f) {
+  return f(t.trace_hi, t.trace_lo, t.spans);
+}
+
+auto fields(of<fault_site_snapshot> auto& s, auto&& f) {
+  return f(s.site, s.hits, s.fired);
+}
+
+auto fields(of<histogram_snapshot> auto& h, auto&& f) {
+  return f(h.name, h.count, h.sum_ms, h.max_ms, h.buckets);
+}
+
 std::vector<std::uint8_t> encode_synth_request(const synth_request& req) {
-  byte_writer w;
-  w.str(req.spec);
-  w.u8(static_cast<std::uint8_t>(req.source));
-  w.str(req.source_text);
-  w.str(req.model);
-  write_mapping_params(w, req.map);
-  w.boolean(req.validate);
-  w.boolean(req.want_verilog);
-  w.boolean(req.want_dot);
-  w.boolean(req.stream_progress);
-  w.u32(req.flow_jobs);
-  w.u8(req.priority);
-  w.f64(req.deadline_ms);
-  w.u32(req.partition_grain);
-  w.u64(req.trace_hi);
-  w.u64(req.trace_lo);
-  return w.take();
+  return encode(req);
 }
 
 synth_request decode_synth_request(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  synth_request req;
-  req.spec = r.str();
-  const std::uint8_t source = r.u8();
-  if (source > static_cast<std::uint8_t>(circuit_source::blif_text)) {
-    throw serialize_error("circuit source out of range");
-  }
-  req.source = static_cast<circuit_source>(source);
-  req.source_text = r.str();
-  req.model = r.str();
-  req.map = read_mapping_params(r);
-  req.validate = r.boolean();
-  req.want_verilog = r.boolean();
-  req.want_dot = r.boolean();
-  req.stream_progress = r.boolean();
-  req.flow_jobs = r.u32();
-  if (req.flow_jobs == 0 || req.flow_jobs > 256) {
-    throw serialize_error("flow_jobs out of range");
-  }
-  req.priority = r.u8();
-  req.deadline_ms = r.f64();
-  if (std::isnan(req.deadline_ms) || req.deadline_ms < 0.0) {
-    throw serialize_error("deadline_ms out of range");
-  }
-  req.partition_grain = r.u32();
-  // Same cap as --partition-grain; one hand-crafted frame must not make the
-  // daemon partition into degenerate single-gate regions forever.
-  if (req.partition_grain > 100000) {
-    throw serialize_error("partition_grain out of range");
-  }
-  req.trace_hi = r.u64();
-  req.trace_lo = r.u64();
-  r.expect_done();
-  return req;
+  return decode<synth_request>(payload);
 }
 
 std::vector<std::uint8_t> encode_synth_delta_request(
@@ -279,10 +245,7 @@ std::vector<std::uint8_t> encode_synth_delta_request(
   const std::vector<std::uint8_t> base = encode_synth_request(req.base);
   w.u64(base.size());
   w.bytes(base.data(), base.size());
-  w.u64(req.base_content_hash);
-  w.str(req.edit_text);
-  w.boolean(req.supersede_base);
-  w.boolean(req.force_full);
+  write_field(w, req);
   return w.take();
 }
 
@@ -294,222 +257,67 @@ synth_delta_request decode_synth_delta_request(
   // grow without the delta codec knowing its field list.
   const std::size_t base_len = r.count(/*min_element_bytes=*/1);
   req.base = decode_synth_request(r.raw(base_len));
-  req.base_content_hash = r.u64();
-  req.edit_text = r.str();
-  req.supersede_base = r.boolean();
-  req.force_full = r.boolean();
+  read_field(r, req);
   r.expect_done();
   return req;
 }
 
 std::vector<std::uint8_t> encode_progress_event(const progress_event& ev) {
-  byte_writer w;
-  w.str(ev.stage);
-  w.u32(ev.index);
-  w.u32(ev.total);
-  w.f64(ev.ms);
-  flow::write_stage_counters(w, ev.counters);
-  w.boolean(ev.from_cache);
-  return w.take();
+  return encode(ev);
 }
 
 progress_event decode_progress_event(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  progress_event ev;
-  ev.stage = r.str();
-  ev.index = r.u32();
-  ev.total = r.u32();
-  ev.ms = r.f64();
-  ev.counters = flow::read_stage_counters(r);
-  ev.from_cache = r.boolean();
-  r.expect_done();
-  return ev;
+  return decode<progress_event>(payload);
 }
 
 std::vector<std::uint8_t> encode_synth_response(const synth_response& resp) {
-  byte_writer w;
-  w.boolean(resp.ok);
-  w.str(resp.error);
-  w.str(resp.report);
-  w.str(resp.validate_report);
-  w.boolean(resp.validate_ok);
-  w.str(resp.verilog);
-  w.str(resp.dot);
-  flow::write_stage_timings(w, resp.timings);
-  w.f64(resp.total_ms);
-  w.boolean(resp.served_from_cache);
-  w.u64(resp.content_hash);
-  return w.take();
+  return encode(resp);
 }
 
 synth_response decode_synth_response(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  synth_response resp;
-  resp.ok = r.boolean();
-  resp.error = r.str();
-  resp.report = r.str();
-  resp.validate_report = r.str();
-  resp.validate_ok = r.boolean();
-  resp.verilog = r.str();
-  resp.dot = r.str();
-  resp.timings = flow::read_stage_timings(r);
-  resp.total_ms = r.f64();
-  resp.served_from_cache = r.boolean();
-  resp.content_hash = r.u64();
-  r.expect_done();
-  return resp;
-}
-
-std::vector<std::uint8_t> encode_hello_request(const hello_request& req) {
-  byte_writer w;
-  w.u8(req.client_version);
-  w.str(req.client_name);
-  return w.take();
-}
-
-hello_request decode_hello_request(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  hello_request req;
-  req.client_version = r.u8();
-  req.client_name = r.str();
-  r.expect_done();
-  return req;
-}
-
-std::vector<std::uint8_t> encode_hello_reply(const hello_reply& reply) {
-  byte_writer w;
-  w.u8(reply.server_version);
-  w.boolean(reply.auth_required);
-  w.u32(reply.max_payload);
-  w.u64(reply.capabilities.size());
-  for (const auto& cap : reply.capabilities) w.str(cap);
-  return w.take();
-}
-
-hello_reply decode_hello_reply(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  hello_reply reply;
-  reply.server_version = r.u8();
-  reply.auth_required = r.boolean();
-  reply.max_payload = r.u32();
-  const std::size_t n = r.count(/*min_element_bytes=*/8);
-  reply.capabilities.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) reply.capabilities.push_back(r.str());
-  r.expect_done();
-  return reply;
+  return decode<synth_response>(payload);
 }
 
 std::vector<std::uint8_t> encode_auth_request(const auth_request& req) {
-  byte_writer w;
-  w.str(req.token);
-  return w.take();
+  return encode(req);
 }
 
 auth_request decode_auth_request(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  auth_request req;
-  req.token = r.str();
-  r.expect_done();
-  return req;
+  return decode<auth_request>(payload);
 }
 
 std::vector<std::uint8_t> encode_trace_request(const trace_request& req) {
-  byte_writer w;
-  w.u64(req.trace_hi);
-  w.u64(req.trace_lo);
-  return w.take();
+  return encode(req);
 }
 
 trace_request decode_trace_request(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  trace_request req;
-  req.trace_hi = r.u64();
-  req.trace_lo = r.u64();
-  r.expect_done();
-  return req;
+  return decode<trace_request>(payload);
 }
 
 std::vector<std::uint8_t> encode_trace_reply(const trace_reply& reply) {
-  byte_writer w;
-  w.u64(reply.trace_hi);
-  w.u64(reply.trace_lo);
-  w.u64(reply.spans.size());
-  for (const auto& s : reply.spans) {
-    w.str(s.name);
-    w.u64(s.start_us);
-    w.u64(s.dur_us);
-    w.u32(s.tid);
-  }
-  return w.take();
+  return encode(reply);
 }
 
 trace_reply decode_trace_reply(std::span<const std::uint8_t> payload) {
-  byte_reader r(payload);
-  trace_reply reply;
-  reply.trace_hi = r.u64();
-  reply.trace_lo = r.u64();
-  const std::size_t n = r.count(/*min_element_bytes=*/8);
-  reply.spans.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    trace_span s;
-    s.name = r.str();
-    s.start_us = r.u64();
-    s.dur_us = r.u64();
-    s.tid = r.u32();
-    reply.spans.push_back(std::move(s));
-  }
-  r.expect_done();
-  return reply;
+  return decode<trace_reply>(payload);
 }
 
 std::vector<std::uint8_t> encode_server_stats(
     const server_stats_reply& reply) {
   byte_writer w;
-  for_each_stat([&w](const stat_field&, const auto& v) { put(w, v); }, reply);
-  w.u64(reply.fault_sites.size());
-  for (const auto& s : reply.fault_sites) {
-    w.str(s.site);
-    w.u64(s.hits);
-    w.u64(s.fired);
-  }
-  w.u64(reply.histograms.size());
-  for (const auto& h : reply.histograms) {
-    w.str(h.name);
-    w.u64(h.count);
-    w.f64(h.sum_ms);
-    w.f64(h.max_ms);
-    w.u64(h.buckets.size());
-    for (const std::uint64_t b : h.buckets) w.u64(b);
-  }
+  for_each_stat([&w](const stat_field&, const auto& v) { write_field(w, v); },
+                reply);
+  write_field(w, reply.fault_sites);
+  write_field(w, reply.histograms);
   return w.take();
 }
 
 server_stats_reply decode_server_stats(std::span<const std::uint8_t> payload) {
   byte_reader r(payload);
   server_stats_reply reply;
-  for_each_stat([&r](const stat_field&, auto& v) { get(r, v); }, reply);
-  const std::size_t nf = r.count(/*min_element_bytes=*/8);
-  reply.fault_sites.reserve(nf);
-  for (std::size_t i = 0; i < nf; ++i) {
-    fault_site_snapshot s;
-    s.site = r.str();
-    s.hits = r.u64();
-    s.fired = r.u64();
-    reply.fault_sites.push_back(std::move(s));
-  }
-  const std::size_t n = r.count(/*min_element_bytes=*/8);
-  reply.histograms.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    histogram_snapshot h;
-    h.name = r.str();
-    h.count = r.u64();
-    h.sum_ms = r.f64();
-    h.max_ms = r.f64();
-    const std::size_t nb = r.count(/*min_element_bytes=*/8);
-    h.buckets.reserve(nb);
-    for (std::size_t j = 0; j < nb; ++j) h.buckets.push_back(r.u64());
-    reply.histograms.push_back(std::move(h));
-  }
+  for_each_stat([&r](const stat_field&, auto& v) { read_field(r, v); }, reply);
+  read_field(r, reply.fault_sites);
+  read_field(r, reply.histograms);
   r.expect_done();
   return reply;
 }

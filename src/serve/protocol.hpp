@@ -24,45 +24,12 @@
 /// server answers with an `error` frame when the connection is still
 /// writable and closes it.
 ///
-/// v3 adds: a `hello`/`hello_ok` capability exchange, a shared-secret
-/// `auth` frame (required before any other request on TCP transports when
-/// the daemon holds a token; compared in constant time), per-request
-/// `priority`/`deadline_ms` admission fields, structured `error` payloads
-/// carrying a typed `error_code`, and the `server_stats` metrics request
-/// (admission counters + latency histograms).
-///
-/// v4 adds incremental ECO resynthesis: the `synth_delta` request names a
-/// previously synthesized base circuit by content hash and ships a textual
-/// edit script (aig/edit.hpp grammar); the daemon replays the edit onto the
-/// retained base network and resynthesizes incrementally, bit-identical to
-/// a from-scratch run of the edited circuit.  `synth_request` gains
-/// `partition_grain` (the fixed-grain region partitioning that makes edits
-/// cheap), `synth_response` gains `content_hash` (the served circuit's
-/// identity, which a later delta request names as its base), the stats
-/// gain the region/ECO tier counters, and the `unknown_base`/`bad_edit`
-/// error codes type the two ECO-specific failures.
-///
-/// v5 adds the failure/retry contract: the `io_timeout` error code (a peer
-/// blew the daemon's per-connection read/write deadline), a trailing
-/// `retry_after_ms` hint on the typed error payload (non-zero on
-/// `overloaded`/`too_many_connections`, telling a well-behaved client how
-/// long to back off before resubmitting — results are deterministic, so a
-/// resubmit is idempotent by construction), and `io_timeouts`/fault-site
-/// counters in the `server_stats` scrape.
-///
-/// v6 adds end-to-end request tracing: `synth_request` carries an optional
-/// 16-byte client-generated `trace_id` (zero = untraced) that the daemon
-/// threads through admission wait, runner queueing, cache lookups, flow
-/// stages, and the send path (util/trace.hpp), and the new `trace` request
-/// returns the completed span set for a given id so the client can print a
-/// per-stage waterfall.  `server_stats` gains the flight-recorder counters
-/// (`trace_spans_recorded`/`trace_spans_dropped`).
-///
-/// v8 retires `status` and `cache_stats` (both subsets of `server_stats`)
-/// and the pre-v5 error encodings: every error payload, including the
-/// version-mismatch reply, is encoded at the daemon's own version.
-/// docs/protocol.md is the normative reference; a test cross-checks its
-/// constant tables against this header.
+/// Each payload's byte layout is its struct's `fields` list in protocol.cpp
+/// (flow/result_io.hpp for the flow types it nests): the encoder and the
+/// decoder are both walks over that one list (util/serialize.hpp).
+/// docs/protocol.md is the normative reference, version history included
+/// (one line per version beside `protocol_version` below); a test
+/// cross-checks its constant tables against this header.
 ///
 /// Thread-safety: every free function here is stateless and safe to call
 /// concurrently; the fd helpers assume at most one reader and one writer
@@ -95,22 +62,28 @@ namespace xsfq::serve {
 // v7: retained-tier LRU + quarantine-bound counters (retained_evictions,
 // disk_quarantine_pruned) in cache/server stats
 // v8: status/cache_stats messages and the legacy error encodings retired
+// v9: hello/hello_ok retired, deadline_ms bounded on decode
 // (see docs/protocol.md for the full history).
-inline constexpr std::uint8_t protocol_version = 8;
+inline constexpr std::uint8_t protocol_version = 9;
 /// Upper bound on one frame's payload; a header announcing more is garbage
 /// (the largest legitimate payload is a synth_response with Verilog text).
 inline constexpr std::uint32_t max_frame_payload = 64u << 20;
 /// Default rendezvous path shared by the daemon and client binaries.
 inline constexpr const char* default_socket_path = "/tmp/xsfq_served.sock";
 
-/// Values 2, 3, 65 and 66 (the v1/v2 status and cache_stats exchanges) were
-/// retired in v8 and are never reused.
+/// Upper bound on synth_request::deadline_ms (one day, the bound of the
+/// daemon's --io-timeout-ms): the admission queue converts the deadline to a
+/// steady_clock duration, which a larger value would overflow.
+inline constexpr double max_deadline_ms = 86'400'000.0;
+
+/// Values 2, 3, 65 and 66 (the v1/v2 status and cache_stats exchanges,
+/// retired in v8) and 6, 69 (the v3 hello exchange, retired in v9) are never
+/// reused.
 enum class msg_type : std::uint8_t {
   // requests
   submit = 1,
   shutdown = 4,
   ping = 5,
-  hello = 6,         ///< v3: capability/version exchange, always allowed
   auth = 7,          ///< v3: shared-secret token, must precede requests on TCP
   server_stats = 8,  ///< v3: metrics scrape
   synth_delta = 9,   ///< v4: edit script against a retained base network
@@ -119,7 +92,6 @@ enum class msg_type : std::uint8_t {
   result = 64,
   shutdown_ok = 67,
   pong = 68,
-  hello_ok = 69,
   auth_ok = 70,
   server_stats_ok = 71,
   trace_ok = 72,  ///< v6: reply to `trace`
@@ -202,11 +174,8 @@ using read_fn = std::function<std::size_t(void* dst, std::size_t n)>;
 /// frame::version for the caller to reject with a typed error.
 std::optional<frame> read_frame(const read_fn& read);
 
-/// fd convenience wrappers (retry on EINTR; write loops until complete).
+/// fd convenience wrapper (retries on EINTR).
 std::optional<frame> read_frame_fd(int fd);
-void write_frame_fd(int fd, msg_type type,
-                    std::span<const std::uint8_t> payload,
-                    std::uint8_t version = protocol_version);
 
 /// Deadline variant: poll()s the fd before every read.  `io_timeout_ms`
 /// bounds each wait once the first header byte has arrived (a peer stalled
@@ -217,12 +186,14 @@ void write_frame_fd(int fd, msg_type type,
 std::optional<frame> read_frame_fd(int fd, int io_timeout_ms,
                                    int idle_timeout_ms);
 
-/// Deadline variant of the writer: poll()s for writability before every
-/// send, so a peer that stopped draining its socket cannot pin the caller.
-/// Throws io_timeout_error when `io_timeout_ms` (> 0) expires.
+/// Writes one frame, looping until complete (retries on EINTR).  With
+/// `io_timeout_ms` > 0 it poll()s for writability before every send, so a
+/// peer that stopped draining its socket cannot pin the caller; throws
+/// io_timeout_error when that deadline expires.
 void write_frame_fd(int fd, msg_type type,
                     std::span<const std::uint8_t> payload,
-                    std::uint8_t version, int io_timeout_ms);
+                    std::uint8_t version = protocol_version,
+                    int io_timeout_ms = 0);
 
 /// Timing-safe token comparison: examines every byte of the longer input
 /// regardless of where the first mismatch sits, so a remote attacker cannot
@@ -260,9 +231,10 @@ struct synth_request {
   /// Orders only the wait for an execution slot; execution itself is
   /// unaffected.
   std::uint8_t priority = 100;
-  /// Relative admission deadline in ms (0 = none): if no execution slot
-  /// frees within this budget of the request's arrival, the daemon fails it
-  /// with `deadline_expired` instead of running work nobody is waiting for.
+  /// Relative admission deadline in ms (0 = none, at most
+  /// max_deadline_ms): if no execution slot frees within this budget of the
+  /// request's arrival, the daemon fails it with `deadline_expired` instead
+  /// of running work nobody is waiting for.
   double deadline_ms = 0.0;
   /// v4: fixed-grain region partitioning for the optimize stage (0 = the
   /// legacy monolithic/flow_jobs pipeline).  Regions of ~grain gates are
@@ -329,20 +301,6 @@ struct synth_response {
   /// v4: content hash of the request's (edited) input circuit — the identity
   /// a later synth_delta request names as its base.
   std::uint64_t content_hash = 0;
-};
-
-/// Client side of the v3 capability exchange.
-struct hello_request {
-  std::uint8_t client_version = protocol_version;
-  std::string client_name;  ///< free-form, e.g. "xsfq_client/0.1"
-};
-
-/// Daemon side of the v3 capability exchange.
-struct hello_reply {
-  std::uint8_t server_version = protocol_version;
-  bool auth_required = false;  ///< this connection must auth before requests
-  std::uint32_t max_payload = max_frame_payload;
-  std::vector<std::string> capabilities;  ///< e.g. "auth", "server_stats"
 };
 
 /// Shared-secret credential frame (v3).  Sent once, before any request, on
@@ -538,12 +496,6 @@ progress_event decode_progress_event(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_synth_response(const synth_response& resp);
 synth_response decode_synth_response(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> encode_hello_request(const hello_request& req);
-hello_request decode_hello_request(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> encode_hello_reply(const hello_reply& reply);
-hello_reply decode_hello_reply(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_auth_request(const auth_request& req);
 auth_request decode_auth_request(std::span<const std::uint8_t> payload);

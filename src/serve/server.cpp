@@ -340,7 +340,7 @@ void server::handle_connection(const std::shared_ptr<connection>& conn) {
                               "; upgrade the client"));
         break;
       }
-      if (!authed && f->type != msg_type::hello && f->type != msg_type::auth) {
+      if (!authed && f->type != msg_type::auth) {
         rejected_auth_.fetch_add(1);
         log::line(log::level::warn, "auth.required")
             .kv("conn", conn->id)
@@ -352,19 +352,6 @@ void server::handle_connection(const std::shared_ptr<connection>& conn) {
         break;
       }
       switch (f->type) {
-        case msg_type::hello: {
-          const hello_request hello = decode_hello_request(f->payload);
-          (void)hello;  // client version/name are informational in v3
-          hello_reply reply;
-          reply.server_version = protocol_version;
-          reply.auth_required = !authed;
-          reply.max_payload = max_frame_payload;
-          reply.capabilities = {"auth",     "priorities",  "deadlines",
-                                "server_stats", "progress", "synth_delta",
-                                "trace"};
-          send(msg_type::hello_ok, encode_hello_reply(reply));
-          break;
-        }
         case msg_type::auth: {
           const auth_request auth = decode_auth_request(f->payload);
           if (constant_time_equal(auth.token, options_.auth_token)) {

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -89,17 +91,14 @@ TEST(ProtocolDoc, VersionAndLimitsMatchHeader) {
       << "doc's histogram bucket count disagrees with util/histogram.hpp";
 }
 
-TEST(ProtocolDoc, MessageTypeTableMatchesEnum) {
-  const auto rows = table_rows(read_doc(), "## Message types");
-
-  // Every enumerator, explicitly: adding a msg_type without documenting it
-  // fails here (count check below), documenting a wrong value fails the
-  // per-row expectation.
-  const std::map<std::string, serve::msg_type> expected = {
+// Every msg_type enumerator, explicitly: adding one without documenting it
+// fails the row-count check below, documenting a wrong value fails the
+// per-row expectation.
+const std::map<std::string, serve::msg_type>& all_msg_types() {
+  static const std::map<std::string, serve::msg_type> types = {
       {"submit", serve::msg_type::submit},
       {"shutdown", serve::msg_type::shutdown},
       {"ping", serve::msg_type::ping},
-      {"hello", serve::msg_type::hello},
       {"auth", serve::msg_type::auth},
       {"server_stats", serve::msg_type::server_stats},
       {"synth_delta", serve::msg_type::synth_delta},
@@ -107,20 +106,57 @@ TEST(ProtocolDoc, MessageTypeTableMatchesEnum) {
       {"result", serve::msg_type::result},
       {"shutdown_ok", serve::msg_type::shutdown_ok},
       {"pong", serve::msg_type::pong},
-      {"hello_ok", serve::msg_type::hello_ok},
       {"auth_ok", serve::msg_type::auth_ok},
       {"server_stats_ok", serve::msg_type::server_stats_ok},
       {"trace_ok", serve::msg_type::trace_ok},
       {"progress", serve::msg_type::progress},
       {"error", serve::msg_type::error},
   };
-  EXPECT_EQ(rows.size(), expected.size())
+  return types;
+}
+
+TEST(ProtocolDoc, MessageTypeTableMatchesEnum) {
+  const auto rows = table_rows(read_doc(), "## Message types");
+  EXPECT_EQ(rows.size(), all_msg_types().size())
       << "message-type table row count != msg_type enumerator count";
-  for (const auto& [name, type] : expected) {
+  for (const auto& [name, type] : all_msg_types()) {
     auto it = rows.find(name);
     ASSERT_NE(it, rows.end()) << "message type undocumented: " << name;
     EXPECT_EQ(it->second, static_cast<std::uint64_t>(type))
         << "documented value wrong for message type: " << name;
+  }
+}
+
+// The doc's "Retired numbers, never reused: ..." sentence holds that promise
+// for the header: no enumerator, and no documented row, takes a retired
+// value.  Numbers in parentheses (the retired messages' names) are skipped.
+TEST(ProtocolDoc, RetiredMessageNumbersAreNeverReused) {
+  const std::string doc = read_doc();
+  const std::string marker = "Retired numbers, never reused:";
+  const auto begin = doc.find(marker);
+  ASSERT_NE(begin, std::string::npos) << "doc lost the line: " << marker;
+  const auto from = begin + marker.size();
+  const auto end = doc.find('.', from);  // the period ends the digit runs
+  std::set<std::uint64_t> retired;
+  int depth = 0;
+  std::string digits;
+  for (const char c : doc.substr(from, end - from + 1)) {
+    depth += (c == '(') - (c == ')');
+    if (depth == 0 && std::isdigit(static_cast<unsigned char>(c))) {
+      digits += c;
+    } else if (!digits.empty()) {
+      retired.insert(std::stoull(digits));
+      digits.clear();
+    }
+  }
+  EXPECT_EQ(retired, (std::set<std::uint64_t>{2, 3, 6, 65, 66, 69}));
+  for (const auto& [name, type] : all_msg_types()) {
+    EXPECT_EQ(retired.count(static_cast<std::uint64_t>(type)), 0u)
+        << "msg_type " << name << " reuses a retired number";
+  }
+  for (const auto& [name, value] : table_rows(doc, "## Message types")) {
+    EXPECT_EQ(retired.count(value), 0u)
+        << "doc row " << name << " reuses a retired number";
   }
 }
 

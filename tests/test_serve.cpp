@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -20,11 +21,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "codec_sweep.hpp"
 #include "serve/client.hpp"
 #include "serve/synth_service.hpp"
 
@@ -33,6 +37,8 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace serve;
+using codec_test::sweep_decoder;
+using codec_test::to_hex;
 
 struct temp_dir {
   std::string path;
@@ -127,22 +133,6 @@ TEST(ServeProtocol, V3PayloadRoundTrips) {
   const synth_request back = decode_synth_request(encode_synth_request(req));
   EXPECT_EQ(back.priority, 210u);
   EXPECT_DOUBLE_EQ(back.deadline_ms, 75.5);
-
-  hello_request hreq;
-  hreq.client_name = "test/1";
-  const hello_request hback =
-      decode_hello_request(encode_hello_request(hreq));
-  EXPECT_EQ(hback.client_version, protocol_version);
-  EXPECT_EQ(hback.client_name, "test/1");
-
-  hello_reply hr;
-  hr.auth_required = true;
-  hr.capabilities = {"auth", "server_stats"};
-  const hello_reply hrback = decode_hello_reply(encode_hello_reply(hr));
-  EXPECT_TRUE(hrback.auth_required);
-  EXPECT_EQ(hrback.max_payload, max_frame_payload);
-  EXPECT_EQ(hrback.capabilities,
-            (std::vector<std::string>{"auth", "server_stats"}));
 
   const auth_request aback =
       decode_auth_request(encode_auth_request({"s3cret"}));
@@ -304,14 +294,238 @@ void expect_same_scalars(const server_stats_reply& a,
   EXPECT_EQ(a.trace_spans_dropped, b.trace_spans_dropped);
 }
 
-std::string to_hex(const std::vector<std::uint8_t>& bytes) {
-  static constexpr char digits[] = "0123456789abcdef";
-  std::string out;
-  for (const std::uint8_t b : bytes) {
-    out += digits[b >> 4];
-    out += digits[b & 15];
+/// Every synth_request field set to a distinct value (bools alternate).
+synth_request every_field_request() {
+  synth_request q;
+  q.spec = "dir/spec.bench";
+  q.source = circuit_source::bench_text;
+  q.source_text = "INPUT(a)\nOUTPUT(a)\n";
+  q.model = "spec";
+  q.map.polarity = polarity_mode::positive_outputs;
+  q.map.pipeline_stages = 3;
+  q.map.reg_style = register_style::pair_boundary;
+  q.map.forced_polarities = std::vector<bool>{true, false, true};
+  q.validate = true;
+  q.want_verilog = false;
+  q.want_dot = true;
+  q.stream_progress = false;
+  q.flow_jobs = 7;
+  q.priority = 201;
+  q.deadline_ms = 1234.5;
+  q.partition_grain = 96;
+  q.trace_hi = 0x0102030405060708ull;
+  q.trace_lo = 0x1112131415161718ull;
+  return q;
+}
+
+/// One payload per message that has one, every field set to a distinct
+/// value, keyed by message name.
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+every_payload() {
+  synth_delta_request delta;
+  delta.base = every_field_request();
+  delta.base_content_hash = 0x2122232425262728ull;
+  delta.edit_text = "and n1 a b\n";
+  delta.supersede_base = false;
+  delta.force_full = true;
+
+  progress_event ev;
+  ev.stage = "optimize";
+  ev.index = 2;
+  ev.total = 5;
+  ev.ms = 3.25;
+  ev.counters = {601, 602, 603, 604, 605, 606, 607, 608};
+  ev.from_cache = true;
+
+  synth_response resp;
+  resp.ok = true;
+  resp.error = "warn";
+  resp.report = "report\n";
+  resp.validate_report = "PASS\n";
+  resp.validate_ok = false;
+  resp.verilog = "module m;\n";
+  resp.dot = "digraph g {}\n";
+  resp.timings = {{"generate", 0.5, {501, 502, 503, 504, 505, 506, 507, 508}},
+                  {"optimize", 2.5, {511, 512, 513, 514, 515, 516, 517, 518}}};
+  resp.total_ms = 9.75;
+  resp.served_from_cache = true;
+  resp.content_hash = 0x3132333435363738ull;
+
+  trace_reply reply;
+  reply.trace_hi = 0x4142434445464748ull;
+  reply.trace_lo = 0x5152535455565758ull;
+  reply.spans = {{"queue_wait", 100, 25, 3}, {"stage:optimize", 130, 900, 4}};
+
+  return {
+      {"submit", encode_synth_request(every_field_request())},
+      {"synth_delta", encode_synth_delta_request(delta)},
+      {"progress", encode_progress_event(ev)},
+      {"result", encode_synth_response(resp)},
+      {"auth", encode_auth_request({"s3cret"})},
+      {"trace", encode_trace_request({reply.trace_hi, reply.trace_lo})},
+      {"trace_ok", encode_trace_reply(reply)},
+      {"error", encode_error(error_code::overloaded, "full", 250)},
+  };
+}
+
+using recoder =
+    std::function<std::vector<std::uint8_t>(std::span<const std::uint8_t>)>;
+
+/// Per message: decode a payload, then encode the decoded value again.
+const std::map<std::string, recoder>& recoders() {
+  static const std::map<std::string, recoder> codecs = {
+      {"submit",
+       [](auto p) { return encode_synth_request(decode_synth_request(p)); }},
+      {"synth_delta",
+       [](auto p) {
+         return encode_synth_delta_request(decode_synth_delta_request(p));
+       }},
+      {"progress",
+       [](auto p) { return encode_progress_event(decode_progress_event(p)); }},
+      {"result",
+       [](auto p) { return encode_synth_response(decode_synth_response(p)); }},
+      {"auth",
+       [](auto p) { return encode_auth_request(decode_auth_request(p)); }},
+      {"trace",
+       [](auto p) { return encode_trace_request(decode_trace_request(p)); }},
+      {"trace_ok",
+       [](auto p) { return encode_trace_reply(decode_trace_reply(p)); }},
+      {"error",
+       [](auto p) {
+         const error_reply e = decode_error(p);
+         return encode_error(e.code, e.message, e.retry_after_ms);
+       }},
+      {"server_stats_ok",
+       [](auto p) { return encode_server_stats(decode_server_stats(p)); }},
+  };
+  return codecs;
+}
+
+TEST(ServeProtocol, EveryPayloadEncodesToPinnedBytes) {
+  // Captured from the protocol v8 build, whose codecs were hand-written
+  // encode/decode pairs: deriving them from field lists moved no byte.  A
+  // reordered or resized field fails here, and decoding then re-encoding
+  // each payload must reproduce it exactly.
+  const std::map<std::string, std::string> pinned = {
+      {"submit",
+       "0e000000000000006469722f737065632e62656e636801130000000000000049"
+       "4e5055542861290a4f55545055542861290a0400000000000000737065630103"
+       "000000000103000000000000000100010100010007000000c900000000004a93"
+       "406000000008070605040302011817161514131211"},
+      {"synth_delta",
+       "75000000000000000e000000000000006469722f737065632e62656e63680113"
+       "00000000000000494e5055542861290a4f55545055542861290a040000000000"
+       "0000737065630103000000000103000000000000000100010100010007000000"
+       "c900000000004a93406000000008070605040302011817161514131211282726"
+       "25242322210b00000000000000616e64206e31206120620a0001"},
+      {"progress",
+       "08000000000000006f7074696d697a6502000000050000000000000000000a40"
+       "59020000000000005a020000000000005b020000000000005c02000000000000"
+       "5d020000000000005e020000000000005f020000000000006002000000000000"
+       "01"},
+      {"result",
+       "0104000000000000007761726e07000000000000007265706f72740a05000000"
+       "00000000504153530a000a000000000000006d6f64756c65206d3b0a0d000000"
+       "00000000646967726170682067207b7d0a020000000000000008000000000000"
+       "0067656e6572617465000000000000e03ff501000000000000f6010000000000"
+       "00f701000000000000f801000000000000f901000000000000fa010000000000"
+       "00fb01000000000000fc0100000000000008000000000000006f7074696d697a"
+       "650000000000000440ff01000000000000000200000000000001020000000000"
+       "0002020000000000000302000000000000040200000000000005020000000000"
+       "0006020000000000000000000000802340013837363534333231"},
+      {"auth",
+       "0600000000000000733363726574"},
+      {"trace",
+       "48474645444342415857565554535251"},
+      {"trace_ok",
+       "4847464544434241585756555453525102000000000000000a00000000000000"
+       "71756575655f7761697464000000000000001900000000000000030000000e00"
+       "00000000000073746167653a6f7074696d697a65820000000000000084030000"
+       "0000000004000000"},
+      {"error",
+       "05040000000000000066756c6cfa000000"},
+  };
+  const auto payloads = every_payload();
+  ASSERT_EQ(payloads.size(), pinned.size());
+  for (const auto& [name, bytes] : payloads) {
+    EXPECT_EQ(to_hex(bytes), pinned.at(name)) << name;
+    EXPECT_EQ(recoders().at(name)(bytes), bytes) << name;
   }
-  return out;
+}
+
+TEST(ServeProtocol, OutOfRangeBoolAndTrailingBytesAreRejectedOnDecode) {
+  // Each range check of the submit field list, one field at a time; the
+  // deadline bound exists because the admission queue turns deadline_ms
+  // into a steady_clock duration, which overflows past ~9.2e12 ms.
+  const auto inf = std::numeric_limits<double>::infinity();
+  const auto nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, std::function<void(synth_request&)>>>
+      out_of_range = {
+          {"circuit source",
+           [](auto& q) { q.source = static_cast<circuit_source>(3); }},
+          {"polarity mode",
+           [](auto& q) { q.map.polarity = static_cast<polarity_mode>(3); }},
+          {"pipeline stage count", [](auto& q) { q.map.pipeline_stages = 65; }},
+          {"register style",
+           [](auto& q) { q.map.reg_style = static_cast<register_style>(2); }},
+          {"flow_jobs", [](auto& q) { q.flow_jobs = 0; }},
+          {"flow_jobs", [](auto& q) { q.flow_jobs = 257; }},
+          {"partition_grain", [](auto& q) { q.partition_grain = 100001; }},
+          {"deadline_ms", [inf](auto& q) { q.deadline_ms = inf; }},
+          {"deadline_ms", [](auto& q) { q.deadline_ms = 1e13; }},
+          {"deadline_ms", [](auto& q) { q.deadline_ms = 1e300; }},
+          {"deadline_ms",
+           [](auto& q) { q.deadline_ms = max_deadline_ms + 1.0; }},
+          {"deadline_ms", [](auto& q) { q.deadline_ms = -1.0; }},
+          {"deadline_ms", [nan](auto& q) { q.deadline_ms = nan; }},
+      };
+  for (const auto& [what, edit] : out_of_range) {
+    synth_request q = every_field_request();
+    edit(q);
+    try {
+      (void)decode_synth_request(encode_synth_request(q));
+      ADD_FAILURE() << what << " accepted";
+    } catch (const serialize_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what + " out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const double ok : {0.0, 0.5, max_deadline_ms}) {
+    synth_request q = every_field_request();
+    q.deadline_ms = ok;
+    EXPECT_EQ(decode_synth_request(encode_synth_request(q)).deadline_ms, ok);
+  }
+
+  // One trailing byte after any payload; a bool byte above 1 where one
+  // sits at a known offset (synth_response leads with `ok`, synth_delta
+  // ends with `force_full`).
+  for (auto [name, bytes] : every_payload()) {
+    std::vector<std::uint8_t> trailing = bytes;
+    trailing.push_back(0);
+    EXPECT_THROW(recoders().at(name)(trailing), serialize_error) << name;
+    if (name == "result") {
+      bytes.front() = 2;
+    } else if (name == "synth_delta") {
+      bytes.back() = 2;
+    } else {
+      continue;
+    }
+    EXPECT_THROW(recoders().at(name)(bytes), serialize_error) << name;
+  }
+}
+
+TEST(ServeProtocol, ClientFlagRejectsDeadlineBeyondOneDay) {
+  const std::string client = std::string(XSFQ_BINARY_DIR) + "/xsfq_client";
+  if (!fs::exists(client)) GTEST_SKIP() << "examples not built: " << client;
+  for (const char* bad : {"inf", "nan", "1e13", "-1", "86400000.5"}) {
+    const std::string cmd = client + " --socket=" + client +
+                            ".none --deadline-ms=" + bad +
+                            " c432 >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
+  }
 }
 
 TEST(ServeProtocol, ServerStatsEveryFieldEncodesMergesAndRenders) {
@@ -435,6 +649,16 @@ TEST(ServeProtocol, ServerStatsEveryFieldEncodesMergesAndRenders) {
     EXPECT_EQ(lines.count(line), 1u) << line;
   }
   EXPECT_EQ(text.find("/cache/1"), std::string::npos);
+}
+
+TEST(ServeProtocol, PayloadDecodersRejectTruncationAndMutationTyped) {
+  auto payloads = every_payload();
+  payloads.emplace_back("server_stats_ok",
+                        encode_server_stats(every_field_stats(1)));
+  for (const auto& [name, bytes] : payloads) {
+    SCOPED_TRACE(name);
+    sweep_decoder(bytes, recoders().at(name));
+  }
 }
 
 TEST(ServeProtocol, RetryAfterHintRoundTripsAndDegradesPerVersion) {
@@ -795,11 +1019,7 @@ TEST(ServeEndToEnd, TcpWithAuthServesByteIdenticalToUnixSocket) {
   ASSERT_TRUE(via_unix.ok);
 
   client tcp_cli("127.0.0.1", fx.srv->tcp_port());
-  const hello_reply hello = tcp_cli.hello();
-  EXPECT_EQ(hello.server_version, protocol_version);
-  EXPECT_TRUE(hello.auth_required);
   tcp_cli.authenticate("hunter2");
-  EXPECT_FALSE(tcp_cli.hello().auth_required);  // this connection is authed
   const synth_response via_tcp = tcp_cli.submit(req);
   ASSERT_TRUE(via_tcp.ok);
   EXPECT_EQ(via_tcp.report, via_unix.report);
@@ -862,12 +1082,13 @@ TEST(ServeEndToEnd, OldClientVersionGetsTypedErrorNotAHang) {
 }
 
 TEST(ServeEndToEnd, RetiredMessageNumbersGetBadRequest) {
-  // v8 retired status (2) and cache_stats (3): a peer still sending them
-  // gets a typed bad_request, and the connection stays usable.
+  // v8 retired status and cache_stats (2, 3, 65, 66), v9 hello (6, 69): a
+  // peer still sending them gets a typed bad_request, and the connection
+  // stays usable.
   server_fixture fx;
   fx.start();
   raw_unix_conn conn(fx.socket_path());
-  for (const std::uint8_t retired : {std::uint8_t{2}, std::uint8_t{3}}) {
+  for (const std::uint8_t retired : {2, 3, 6, 65, 66, 69}) {
     write_frame_fd(conn.fd, static_cast<msg_type>(retired), {});
     const auto reply = read_frame_fd(conn.fd);
     ASSERT_TRUE(reply.has_value());
@@ -1229,13 +1450,6 @@ TEST(ServeEndToEnd, UntracedSubmitCollectsNothingAndUnknownIdIsEmpty) {
   server_fixture fx;
   fx.start();
   client cli(fx.socket_path());
-
-  // hello advertises the capability.
-  const hello_reply hello = cli.hello();
-  bool has_trace = false;
-  for (const auto& cap : hello.capabilities) has_trace |= (cap == "trace");
-  EXPECT_TRUE(has_trace);
-
   ASSERT_TRUE(cli.submit(make_request_for_spec("c432")).ok);  // untraced
 
   trace_request treq;

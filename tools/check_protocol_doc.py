@@ -54,6 +54,16 @@ def bold_number_after(text, marker):
     return int(m.group(1))
 
 
+def retired_numbers(text):
+    """The numbers of the 'Retired numbers, never reused:' sentence, minus
+    those inside parentheses (the retired messages' names)."""
+    m = re.search(r"Retired numbers, never reused:([^.]*)\.", text)
+    if not m:
+        raise SystemExit("error: doc lost the retired-numbers sentence")
+    return {int(n) for n in re.findall(r"\d+", re.sub(r"\([^)]*\)", "",
+                                                       m.group(1)))}
+
+
 def diff(label, doc, header, problems):
     for name in sorted(set(doc) | set(header)):
         if name not in header:
@@ -98,8 +108,13 @@ def main(argv):
         problems.append(f"max payload: documented {doc_payload}, "
                         f"header says {header_payload}")
 
+    msg_types = parse_header_enum(header, "msg_type")
     diff("message type", parse_doc_table(doc, "## Message types"),
-         parse_header_enum(header, "msg_type"), problems)
+         msg_types, problems)
+    for name, value in sorted(msg_types.items()):
+        if value in retired_numbers(doc):
+            problems.append(f"message type: {name!r} reuses retired "
+                            f"number {value}")
     diff("error code", parse_doc_table(doc, "## Error codes"),
          parse_header_enum(header, "error_code"), problems)
 
