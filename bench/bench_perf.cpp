@@ -26,6 +26,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -42,6 +43,8 @@
 #include "flow/batch_runner.hpp"
 #include "flow/flow.hpp"
 #include "flow/result_io.hpp"
+#include "netlist/bench_io.hpp"
+#include "netlist/blif_io.hpp"
 #include "opt/opt_engine.hpp"
 #include "opt/script.hpp"
 #include "serve/client.hpp"
@@ -77,16 +80,20 @@ constexpr int cold_reps = 5;     ///< samples that each need a fresh daemon
 constexpr int scaling_reps = 3;  ///< samples per scaling row
 
 // ---------------------------------------------------------------------------
-// Calibration kernels: two frozen loops over c6288's gates, one of each kind
-// of code the product spends its time in.  Host load slows vector and
-// scalar code unevenly, so each row is timed against the kernel of its kind:
+// Calibration kernels: three frozen loops over c6288's gates, one of each
+// kind of code the product spends its time in.  Host load slows vector
+// code, scalar arithmetic and table lookups unevenly, so each row is timed
+// against the kernel of its kind:
 //   * sweep:  a copy of sim_engine's 32-lane full sweep
 //             (src/aig/simulate.cpp), multiversioned the same way — for the
 //             vector sim rows;
+//   * scalar: one 64-bit word per node, the loop of reference_simulate64
+//             (src/aig/sim_reference.hpp), not multiversioned — for the
+//             scalar sim rows;
 //   * strash: a structural-hash rebuild, the kind of table lookup behind
 //             every node a pass creates (aig::create_and) — for all others.
-// The baseline's cal figures are in units of these loops; changing either
-// invalidates them.
+// The baseline's cal figures are in units of these loops; changing any of
+// them invalidates them.
 // ---------------------------------------------------------------------------
 
 #if defined(__x86_64__) && defined(__has_attribute)
@@ -99,8 +106,12 @@ constexpr int scaling_reps = 3;  ///< samples per scaling row
 #define BENCH_CLONES
 #endif
 
+enum class kernel { strash, sweep, scalar };
+constexpr const char* kernel_names[] = {"strash", "sweep", "scalar"};
+
 constexpr unsigned sweep_width = 32;
 constexpr unsigned sweep_runs = 512;
+constexpr unsigned scalar_runs = 1536;
 constexpr unsigned strash_bits = 13;  ///< table slots: 2 per c6288 gate
 constexpr unsigned strash_runs = 640;
 
@@ -125,6 +136,17 @@ BENCH_CLONES void cal_sweep(const cal_op* ops, std::size_t n,
     for (unsigned w = 0; w < sweep_width; ++w) {
       out[w] = (va[w] ^ ma) & (vb[w] ^ mb);
     }
+  }
+}
+
+void cal_scalar(const cal_op* ops, std::size_t n, std::uint64_t* values) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const cal_op op = ops[i];
+    const std::uint64_t va =
+        (op.a & 1u) != 0 ? ~values[op.a >> 1] : values[op.a >> 1];
+    const std::uint64_t vb =
+        (op.b & 1u) != 0 ? ~values[op.b >> 1] : values[op.b >> 1];
+    values[op.out] = va & vb;
   }
 }
 
@@ -165,23 +187,49 @@ class calibration {
     plane_.resize(g.size() * sweep_width);
     rng gen(1);
     for (auto& word : plane_) word = gen();  // sweeps overwrite the gates
+
+    // The scalar loop is bound by store-to-load forwarding, which 4K
+    // aliasing between its op stream and its words slows by up to 2x,
+    // depending on where the two sit relative to page boundaries.  One
+    // page-aligned block holds both at fixed offsets, so every process
+    // times the same loop.
+    const std::size_t ops_bytes = ops_.size() * sizeof(cal_op);
+    const std::size_t words_at = (ops_bytes + 4095) / 4096 * 4096 + 512;
+    scalar_block_.reset(::operator new(
+        words_at + g.size() * sizeof(std::uint64_t), std::align_val_t{4096}));
+    auto* base = static_cast<std::byte*>(scalar_block_.get());
+    scalar_ops_ = reinterpret_cast<cal_op*>(base);
+    std::uninitialized_copy(ops_.begin(), ops_.end(), scalar_ops_);
+    scalar_words_ = reinterpret_cast<std::uint64_t*>(base + words_at);
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      ::new (scalar_words_ + i) std::uint64_t(gen());
+    }
     map_.resize(g.size());
     for (std::uint32_t n = 0; n < map_.size(); ++n) map_[n] = n << 1;
     table_.resize(std::size_t{1} << strash_bits);
   }
 
   /// Wall time of one run of the row's kernel.
-  double run_ms(bool vector) {
+  double run_ms(kernel k) {
     const auto start = clock_type::now();
-    if (vector) {
-      for (unsigned s = 0; s < sweep_runs; ++s) {
-        cal_sweep(ops_.data(), ops_.size(), plane_.data());
-      }
-      sink = plane_.back();
-    } else {
-      for (unsigned s = 0; s < strash_runs; ++s) {
-        sink = cal_strash(ops_, map_, table_);
-      }
+    switch (k) {
+      case kernel::sweep:
+        for (unsigned s = 0; s < sweep_runs; ++s) {
+          cal_sweep(ops_.data(), ops_.size(), plane_.data());
+        }
+        sink = plane_.back();
+        break;
+      case kernel::scalar:
+        for (unsigned s = 0; s < scalar_runs; ++s) {
+          cal_scalar(scalar_ops_, ops_.size(), scalar_words_);
+        }
+        sink = scalar_words_[ops_.back().out];
+        break;
+      case kernel::strash:
+        for (unsigned s = 0; s < strash_runs; ++s) {
+          sink = cal_strash(ops_, map_, table_);
+        }
+        break;
     }
     return ms_since(start);
   }
@@ -189,6 +237,14 @@ class calibration {
  private:
   std::vector<cal_op> ops_;
   std::vector<std::uint64_t> plane_;
+  struct page_delete {
+    void operator()(void* p) const {
+      ::operator delete(p, std::align_val_t{4096});
+    }
+  };
+  std::unique_ptr<void, page_delete> scalar_block_;
+  cal_op* scalar_ops_ = nullptr;
+  std::uint64_t* scalar_words_ = nullptr;
   std::vector<std::uint32_t> map_;
   std::vector<strash_slot> table_;
 };
@@ -221,7 +277,7 @@ struct row {
   int reps = 0;
   int iters = 1;
   bool gated = false;
-  bool vector = false;  ///< timed against the sweep, else the strash kernel
+  kernel timed_against = kernel::strash;
   summary ms;
   summary cal;
   counter_list counters;  ///< deterministic work: gated exactly
@@ -248,15 +304,15 @@ class driver {
     std::vector<double> ms;
     std::vector<double> cal;
     for (int r = 0; r < n; ++r) {
-      const double cal_ms = cal_.run_ms(vector);
+      const double cal_ms = cal_.run_ms(timed_against);
       const double t = sample();
       ms.push_back(t);
       cal.push_back(t / cal_ms);
-      (vector ? sweep_ms_ : strash_ms_).push_back(cal_ms);
+      kernel_ms_[static_cast<int>(timed_against)].push_back(cal_ms);
     }
     rows_.push_back({std::move(layer), std::move(circuit), std::move(metric),
-                     n, iters, gated, vector, summarize(ms), summarize(cal),
-                     {}, {}});
+                     n, iters, gated, timed_against, summarize(ms),
+                     summarize(cal), {}, {}});
     const row& r = rows_.back();
     std::printf("%-44s %10.3f ms [%.3f .. %.3f] %8.4f cal%s\n",
                 (r.layer + "/" + r.circuit + "/" + r.metric).c_str(),
@@ -268,15 +324,15 @@ class driver {
 
   void write_json(const std::string& path) const;
 
-  /// Set around the rows that run the vector sweep: they are timed against
-  /// the sweep kernel, all other rows against the strash kernel.
-  bool vector = false;
+  /// Set around the rows of vector or scalar simulation: they are timed
+  /// against the sweep or the scalar kernel, all other rows against the
+  /// strash kernel.
+  kernel timed_against = kernel::strash;
 
  private:
   calibration cal_;
   std::vector<row> rows_;
-  std::vector<double> sweep_ms_;   ///< every sweep kernel run
-  std::vector<double> strash_ms_;  ///< every strash kernel run
+  std::vector<double> kernel_ms_[std::size(kernel_names)];  ///< every run
 };
 
 /// Wraps a body as a step that times itself.
@@ -310,16 +366,18 @@ std::string json(const counter_list& counters) {
 
 void driver::write_json(const std::string& path) const {
   std::ofstream os(path);
-  os << "{\n  \"schema\": \"bench_perf/1\",\n"
-     << "  \"calibration_ms\": {\"sweep\": " << json(summarize(sweep_ms_))
-     << ", \"strash\": " << json(summarize(strash_ms_)) << "},\n"
-     << "  \"rows\": [\n";
+  os << "{\n  \"schema\": \"bench_perf/1\",\n  \"calibration_ms\": {";
+  for (std::size_t k = 0; k < std::size(kernel_names); ++k) {
+    os << (k ? ", \"" : "\"") << kernel_names[k]
+       << "\": " << json(summarize(kernel_ms_[k]));
+  }
+  os << "},\n  \"rows\": [\n";
   for (const row& r : rows_) {
     os << "    {\"layer\": \"" << r.layer << "\", \"circuit\": \""
        << r.circuit << "\", \"metric\": \"" << r.metric
        << "\", \"reps\": " << r.reps << ", \"iters\": " << r.iters
        << ", \"gated\": " << (r.gated ? "true" : "false")
-       << ", \"kernel\": \"" << (r.vector ? "sweep" : "strash")
+       << ", \"kernel\": \"" << kernel_names[static_cast<int>(r.timed_against)]
        << "\",\n     \"ms\": " << json(r.ms) << ", \"cal\": " << json(r.cal)
        << ",\n     \"counters\": " << json(r.counters)
        << ", \"info\": " << json(r.info) << "}"
@@ -433,6 +491,29 @@ void opt_rows(driver& d, const aig& g) {
   b.counters = {{"jj_with_clock", rsfq.jj_with_clock}};
 }
 
+/// The frontend: c6288 exported as .bench and as BLIF, read back the way
+/// the daemon reads an inline netlist.
+void netlist_rows(driver& d, const aig& g) {
+  const netlist exported = netlist_from_aig(g, "c6288");
+  for (const bool blif : {false, true}) {
+    serve::synth_request req;
+    req.spec = blif ? "c6288.blif" : "c6288.bench";
+    req.source = blif ? serve::circuit_source::blif_text
+                      : serve::circuit_source::bench_text;
+    req.source_text =
+        blif ? write_blif_string(exported) : write_bench_string(exported);
+    aig loaded;
+    row& r = d.measure("netlist", "c6288", blif ? "read_blif" : "read_bench",
+                       reps, 8, true, timing([&] {
+                         loaded = serve::load_request_circuit(req);
+                       }));
+    check(loaded.num_gates() == g.num_gates(),
+          "the exported c6288 read back to another gate count");
+    r.counters = {{"bytes", req.source_text.size()},
+                  {"nodes_out", loaded.num_gates()}};
+  }
+}
+
 void flow_rows(driver& d) {
   const std::string c = "c6288";
   flow::flow_options validated;
@@ -501,7 +582,7 @@ void sim_rows(driver& d, const aig& g) {
   const aig partner = engine.run_pass(g, "b");
   equivalence_checker checker;
   std::uint64_t evals = 0;
-  d.vector = true;
+  d.timed_against = kernel::sweep;
   row& w = d.measure("sim", c, "wide_sweep", reps, 1, true, timing([&] {
                        wide.reset_counters();
                        for (unsigned s = 0; s < sweep_runs; ++s) {
@@ -514,8 +595,7 @@ void sim_rows(driver& d, const aig& g) {
               check(checker.check(g, partner, 64, 7),
                     "random_equivalent: unexpected mismatch");
             }));
-  d.vector = false;
-
+  d.timed_against = kernel::scalar;
   std::vector<std::uint64_t> patterns(g.num_cis());
   d.measure("sim", c, "scalar_sweep", reps, 1, true, timing([&] {
               for (unsigned s = 0; s < 256; ++s) {
@@ -527,6 +607,7 @@ void sim_rows(driver& d, const aig& g) {
               check(reference_random_equivalent(g, partner, 64, 7),
                     "reference_random_equivalent: unexpected mismatch");
             }));
+  d.timed_against = kernel::strash;
 
   sim_engine incr(8);
   incr.attach(g);
@@ -818,6 +899,7 @@ int main(int argc, char** argv) {
   const aig g = benchgen::make_benchmark("c6288");
   cli_rows(d, g);  // first: nothing may warm the flow before it
   opt_rows(d, g);
+  netlist_rows(d, g);
   flow_rows(d);
   sim_rows(d, g);
   service_rows(d, dir + "/serve");

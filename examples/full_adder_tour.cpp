@@ -20,7 +20,7 @@ aig nand_full_adder() {
       "n1 = NAND(a, b)\nn2 = NAND(a, n1)\nn3 = NAND(b, n1)\n"
       "x  = NAND(n2, n3)\nn4 = NAND(x, cin)\nn5 = NAND(x, n4)\n"
       "n6 = NAND(cin, n4)\ns  = NAND(n5, n6)\ncout = NAND(n1, n4)\n";
-  return read_bench_string(bench, "full_adder").to_aig();
+  return read_bench(bench);
 }
 
 void report(const char* stage, const aig& g, polarity_mode mode) {

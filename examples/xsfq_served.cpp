@@ -215,6 +215,15 @@ int main(int argc, char** argv) {
                              2 * slots + 2, 1024)));
   }
 #endif
+#ifdef M_MMAP_THRESHOLD
+  // Blocks of 64 KiB and up (request texts, the reader's name table and
+  // gate arrays, results loaded from the disk tier) come and go with every
+  // request.  glibc raises its mmap threshold past each such block freed
+  // and then carves them from the arenas, where the holes they leave keep
+  // the daemon's peak RSS growing with the requests it has served.  A
+  // fixed threshold maps them and returns them on free.
+  mallopt(M_MMAP_THRESHOLD, 64 << 10);
+#endif
 
   // Signals are consumed synchronously below; block them before any thread
   // exists so every server/worker thread inherits the mask.  SIGUSR1 joins

@@ -251,6 +251,8 @@ template <typename Combine>
 signal reduce_balanced(std::span<const signal> fs, signal empty_value,
                        Combine&& combine) {
   if (fs.empty()) return empty_value;
+  if (fs.size() == 1) return fs[0];
+  if (fs.size() == 2) return combine(fs[0], fs[1]);  // no layer to allocate
   std::vector<signal> layer(fs.begin(), fs.end());
   while (layer.size() > 1) {
     std::vector<signal> next;

@@ -1,192 +1,194 @@
 #include "netlist/bench_io.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "netlist/gate_graph.hpp"
+
 namespace xsfq {
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};
-  const auto end = s.find_last_not_of(" \t\r\n");
-  return s.substr(begin, end - begin + 1);
+constexpr auto npos = std::string_view::npos;
+
+// Lines and their fields are short: plain loops beat library calls here.
+
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
 }
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return s;
+std::string_view trim(std::string_view s) {
+  std::size_t begin = 0;
+  std::size_t end = s.size();
+  while (begin < end && is_blank(s[begin])) ++begin;
+  while (end > begin && is_blank(s[end - 1])) --end;
+  return s.substr(begin, end - begin);
 }
 
-[[noreturn]] void fail(std::size_t line, const std::string& message) {
-  throw std::invalid_argument("bench: line " + std::to_string(line) + ": " +
-                              message);
-}
-
-/// Input-hardening caps shared with the BLIF reader: real netlists carry
-/// identifiers of a few dozen characters, so anything kilobytes long (or
-/// containing NUL — text formats never do) is fuzz/attack input, rejected
-/// with the same typed error any other malformed line gets.
-constexpr std::size_t max_identifier_len = 4096;
-
-void check_line(const std::string& line, std::size_t line_number) {
-  if (line.find('\0') != std::string::npos) {
-    fail(line_number, "NUL byte in input");
+std::size_t find(std::string_view s, char c) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == c) return i;
   }
+  return npos;
 }
 
-const std::string& check_identifier(const std::string& name,
-                                    std::size_t line_number) {
-  if (name.size() > max_identifier_len) {
-    fail(line_number, "identifier exceeds " +
-                          std::to_string(max_identifier_len) + " characters");
+std::size_t rfind(std::string_view s, char c) {
+  for (std::size_t i = s.size(); i-- > 0;) {
+    if (s[i] == c) return i;
+  }
+  return npos;
+}
+
+/// True when `s` starts with `prefix` (upper case) in any letter case.
+bool starts_with_nocase(std::string_view s, std::string_view prefix) {
+  if (s.size() < prefix.size()) return false;
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    char c = s[i];
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    if (c != prefix[i]) return false;
+  }
+  return true;
+}
+
+bool is_kind(std::string_view name, std::string_view upper) {
+  return name.size() == upper.size() && starts_with_nocase(name, upper);
+}
+
+gate_kind kind_from_name(const gate_graph& graph, std::string_view name,
+                         std::size_t line) {
+  if (is_kind(name, "AND")) return gate_kind::and_gate;
+  if (is_kind(name, "OR")) return gate_kind::or_gate;
+  if (is_kind(name, "NAND")) return gate_kind::nand_gate;
+  if (is_kind(name, "NOR")) return gate_kind::nor_gate;
+  if (is_kind(name, "XOR")) return gate_kind::xor_gate;
+  if (is_kind(name, "XNOR")) return gate_kind::xnor_gate;
+  if (is_kind(name, "NOT") || is_kind(name, "INV")) return gate_kind::inverter;
+  if (is_kind(name, "BUF") || is_kind(name, "BUFF")) return gate_kind::buffer;
+  if (is_kind(name, "MUX")) return gate_kind::mux_gate;
+  if (is_kind(name, "DFF")) return gate_kind::dff;
+  if (is_kind(name, "CONST0") || is_kind(name, "GND")) {
+    return gate_kind::constant0;
+  }
+  if (is_kind(name, "CONST1") || is_kind(name, "VDD")) {
+    return gate_kind::constant1;
+  }
+  graph.fail(line, "unknown gate type '" + std::string(name) + "'");
+}
+
+std::string_view checked_name(const gate_graph& graph, std::string_view name,
+                              std::size_t line) {
+  if (name.size() > gate_graph::max_name_length) {
+    graph.fail(line, "identifier exceeds " +
+                         std::to_string(gate_graph::max_name_length) +
+                         " characters");
   }
   return name;
 }
 
-gate_kind kind_from_name(const std::string& name, std::size_t line) {
-  const std::string u = upper(name);
-  if (u == "AND") return gate_kind::and_gate;
-  if (u == "OR") return gate_kind::or_gate;
-  if (u == "NAND") return gate_kind::nand_gate;
-  if (u == "NOR") return gate_kind::nor_gate;
-  if (u == "XOR") return gate_kind::xor_gate;
-  if (u == "XNOR") return gate_kind::xnor_gate;
-  if (u == "NOT" || u == "INV") return gate_kind::inverter;
-  if (u == "BUF" || u == "BUFF") return gate_kind::buffer;
-  if (u == "MUX") return gate_kind::mux_gate;
-  if (u == "DFF") return gate_kind::dff;
-  if (u == "CONST0" || u == "GND") return gate_kind::constant0;
-  if (u == "CONST1" || u == "VDD") return gate_kind::constant1;
-  fail(line, "unknown gate type '" + name + "'");
-}
+/// Reads one non-blank, comment-free line into the graph.
+class line_reader {
+public:
+  explicit line_reader(gate_graph& graph) : graph_(graph) {}
+
+  void read(std::string_view line, std::size_t n) {
+    if (starts_with_nocase(line, "INPUT(") ||
+        starts_with_nocase(line, "OUTPUT(")) {
+      const auto open = find(line, '(');
+      const auto close = rfind(line, ')');
+      if (close == npos || close < open) graph_.fail(n, "missing ')'");
+      const auto name = trim(line.substr(open + 1, close - open - 1));
+      if (name.empty()) graph_.fail(n, "empty port name");
+      const auto net = graph_.net(checked_name(graph_, name, n), n);
+      if (open == 5) {
+        graph_.add_input(net, n);
+      } else {
+        graph_.add_output(net);
+      }
+      return;
+    }
+
+    const auto eq = find(line, '=');
+    if (eq == npos) graph_.fail(n, "expected '='");
+    const auto target = checked_name(graph_, trim(line.substr(0, eq)), n);
+    const auto rhs = trim(line.substr(eq + 1));
+    const auto open = find(rhs, '(');
+    const auto close = rfind(rhs, ')');
+    if (open == npos || close == npos || close < open) {
+      graph_.fail(n, "expected GATE(args)");
+    }
+    const gate_kind kind = kind_from_name(graph_, trim(rhs.substr(0, open)), n);
+    args_.clear();
+    for (auto rest = rhs.substr(open + 1, close - open - 1);;) {
+      const auto comma = find(rest, ',');
+      const auto arg = trim(rest.substr(0, comma));
+      if (!arg.empty()) args_.push_back(checked_name(graph_, arg, n));
+      if (comma == npos) break;
+      rest.remove_prefix(comma + 1);
+    }
+
+    bool init = false;
+    if (kind == gate_kind::dff) {
+      if (args_.empty() || args_.size() > 2) {
+        graph_.fail(n, "DFF takes 1 or 2 arguments");
+      }
+      if (args_.size() == 2) {
+        if (args_[1] != "0" && args_[1] != "1") {
+          graph_.fail(n, "DFF init must be 0 or 1");
+        }
+        init = args_[1] == "1";
+        args_.pop_back();
+      }
+    } else {
+      const std::size_t arity = args_.size();
+      const bool unary =
+          kind == gate_kind::inverter || kind == gate_kind::buffer;
+      const bool nullary =
+          kind == gate_kind::constant0 || kind == gate_kind::constant1;
+      if (unary && arity != 1) graph_.fail(n, "unary gate needs 1 input");
+      if (nullary && arity != 0) graph_.fail(n, "constant takes no input");
+      if (kind == gate_kind::mux_gate && arity != 3) {
+        graph_.fail(n, "MUX needs 3 inputs (sel, then, else)");
+      }
+      if (!unary && !nullary && kind != gate_kind::mux_gate && arity < 2) {
+        graph_.fail(n, "gate needs at least 2 inputs");
+      }
+    }
+    fanins_.clear();
+    for (const auto arg : args_) fanins_.push_back(graph_.net(arg, n));
+    graph_.add_gate(kind, fanins_, graph_.net(target, n), init, n);
+  }
+
+private:
+  gate_graph& graph_;
+  std::vector<std::string_view> args_;     ///< reused across lines
+  std::vector<gate_graph::net_id> fanins_;  ///< reused across lines
+};
 
 }  // namespace
 
-netlist read_bench(std::istream& is, const std::string& model_name) {
-  netlist result;
-  result.set_name(model_name);
-  std::string raw_line;
-  std::size_t line_number = 0;
-  std::vector<std::string> pending_outputs;
-
-  while (std::getline(is, raw_line)) {
-    ++line_number;
-    check_line(raw_line, line_number);
-    std::string line = raw_line;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
+aig read_bench(std::string_view text) {
+  gate_graph graph("bench", text.size());
+  line_reader reader(graph);
+  const char* const end = text.data() + text.size();
+  const auto* const nul =
+      static_cast<const char*>(std::memchr(text.data(), '\0', text.size()));
+  std::size_t n = 0;
+  for (const char* p = text.data(); p < end;) {
+    ++n;
+    auto* eol = static_cast<const char*>(std::memchr(p, '\n', end - p));
+    if (eol == nullptr) eol = end;
+    std::string_view line(p, static_cast<std::size_t>(eol - p));
+    p = eol == end ? end : eol + 1;
+    if (nul != nullptr && nul < eol) graph.fail(n, "NUL byte in input");
+    if (const auto* hash = static_cast<const char*>(
+            std::memchr(line.data(), '#', line.size()))) {
+      line = line.substr(0, static_cast<std::size_t>(hash - line.data()));
     }
     line = trim(line);
-    if (line.empty()) continue;
-
-    const std::string u = upper(line);
-    if (u.starts_with("INPUT(") || u.starts_with("OUTPUT(")) {
-      const auto open = line.find('(');
-      const auto close = line.rfind(')');
-      if (close == std::string::npos || close < open) {
-        fail(line_number, "missing ')'");
-      }
-      const std::string net = trim(line.substr(open + 1, close - open - 1));
-      if (net.empty()) fail(line_number, "empty port name");
-      check_identifier(net, line_number);
-      if (u.starts_with("INPUT(")) {
-        result.add_input(net);
-      } else {
-        // Defer output marking: the net may not exist yet.
-        pending_outputs.push_back(net);
-      }
-      continue;
-    }
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) fail(line_number, "expected '='");
-    const std::string target =
-        check_identifier(trim(line.substr(0, eq)), line_number);
-    std::string rhs = trim(line.substr(eq + 1));
-    const auto open = rhs.find('(');
-    const auto close = rhs.rfind(')');
-    if (open == std::string::npos || close == std::string::npos ||
-        close < open) {
-      fail(line_number, "expected GATE(args)");
-    }
-    const gate_kind kind = kind_from_name(trim(rhs.substr(0, open)),
-                                          line_number);
-    const std::string args = rhs.substr(open + 1, close - open - 1);
-
-    std::vector<netlist::net_index> fanins;
-    bool init = false;
-    std::stringstream ss(args);
-    std::string token;
-    std::vector<std::string> arg_names;
-    while (std::getline(ss, token, ',')) {
-      token = trim(token);
-      if (!token.empty()) {
-        arg_names.push_back(check_identifier(token, line_number));
-      }
-    }
-    if (kind == gate_kind::dff) {
-      if (arg_names.empty() || arg_names.size() > 2) {
-        fail(line_number, "DFF takes 1 or 2 arguments");
-      }
-      fanins.push_back(result.net_by_name(arg_names[0]));
-      if (arg_names.size() == 2) {
-        if (arg_names[1] != "0" && arg_names[1] != "1") {
-          fail(line_number, "DFF init must be 0 or 1");
-        }
-        init = arg_names[1] == "1";
-      }
-    } else {
-      for (const auto& a : arg_names) {
-        fanins.push_back(result.net_by_name(a));
-      }
-      const std::size_t arity = fanins.size();
-      const bool unary = kind == gate_kind::inverter ||
-                         kind == gate_kind::buffer;
-      const bool nullary = kind == gate_kind::constant0 ||
-                           kind == gate_kind::constant1;
-      if (unary && arity != 1) fail(line_number, "unary gate needs 1 input");
-      if (nullary && arity != 0) fail(line_number, "constant takes no input");
-      if (kind == gate_kind::mux_gate && arity != 3) {
-        fail(line_number, "MUX needs 3 inputs (sel, then, else)");
-      }
-      if (!unary && !nullary && kind != gate_kind::mux_gate && arity < 2) {
-        fail(line_number, "gate needs at least 2 inputs");
-      }
-    }
-    result.add_gate(kind, std::move(fanins), target, init);
+    if (!line.empty()) reader.read(line, n);
   }
-
-  for (const auto& net : pending_outputs) {
-    result.mark_output(result.net_by_name(net));
-  }
-  if (!result.is_fully_driven()) {
-    throw std::invalid_argument("bench: undriven nets referenced");
-  }
-  return result;
-}
-
-netlist read_bench_string(const std::string& text,
-                          const std::string& model_name) {
-  std::istringstream is(text);
-  return read_bench(is, model_name);
-}
-
-netlist read_bench_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::invalid_argument("bench: cannot open " + path);
-  auto model = path;
-  if (const auto slash = model.find_last_of('/'); slash != std::string::npos) {
-    model = model.substr(slash + 1);
-  }
-  if (const auto dot = model.find_last_of('.'); dot != std::string::npos) {
-    model = model.substr(0, dot);
-  }
-  return read_bench(is, model);
+  return graph.lower();
 }
 
 void write_bench(const netlist& circuit, std::ostream& os) {

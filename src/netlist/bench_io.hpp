@@ -10,21 +10,34 @@
 ///   q = DFF(d)             # optional DFF(d, 1) sets the initial value
 ///   # comments and blank lines are ignored
 ///
-/// Gates may be listed in any order (forward references are legal).
+/// Keywords and gate names are case-insensitive (INV, BUF, CONST0/GND and
+/// CONST1/VDD are accepted too); empty arguments are skipped.  Gates may be
+/// listed in any order (forward references are legal).
+///
+/// The reader makes one pass over the text: each line is a view into it,
+/// net names are interned to dense ids without being copied, and gates go
+/// into flat arrays (netlist/gate_graph.hpp) that lower straight into the
+/// AIG.  A gate lowers in sweep s(g) = max(1, max over its fanin gates h of
+/// s(h) + [h listed after g]) and in file order within a sweep, so a file
+/// in topological order lowers in file order; one topological pass finds
+/// the sweeps, so any listing order reads in linear time.
+///
+/// Errors: malformed input throws std::invalid_argument reading
+/// "bench: line N: <what>" — bad syntax, unknown gates, wrong arity, names
+/// over 4096 characters, NUL bytes, nets driven twice; an undriven net
+/// names the line that first uses it, a combinational cycle a gate on it.
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
+#include "aig/aig.hpp"
 #include "netlist/netlist.hpp"
 
 namespace xsfq {
 
-/// Parses BENCH text; throws std::invalid_argument with a line number on
-/// malformed input.
-netlist read_bench(std::istream& is, const std::string& model_name = "top");
-netlist read_bench_string(const std::string& text,
-                          const std::string& model_name = "top");
-netlist read_bench_file(const std::string& path);
+/// Reads BENCH text into an AIG.
+aig read_bench(std::string_view text);
 
 /// Writes a netlist in BENCH format (multi-input gates emitted natively).
 void write_bench(const netlist& circuit, std::ostream& os);

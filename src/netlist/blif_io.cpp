@@ -1,243 +1,254 @@
 #include "netlist/blif_io.hpp"
 
 #include <bit>
+#include <cstring>
+#include <deque>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "netlist/gate_graph.hpp"
+
 namespace xsfq {
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& message) {
-  throw std::invalid_argument("blif: line " + std::to_string(line) + ": " +
-                              message);
+using net_id = gate_graph::net_id;
+
+/// ' ' and '\t' '\n' '\v' '\f' '\r', as in the C locale.
+bool is_space(char c) {
+  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::stringstream ss(line);
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  return tokens;
+bool continues(std::string_view line) {
+  return !line.empty() && (line.back() == '\\' || line.ends_with("\\\r"));
 }
 
-/// Input-hardening cap shared with the bench reader: identifiers kilobytes
-/// long are fuzz/attack input, not netlists — reject with the same typed
-/// error any malformed line gets instead of growing name tables unboundedly.
-constexpr std::size_t max_identifier_len = 4096;
+/// Splits the text into logical lines: a line ending in '\' continues on
+/// the next one.  Physical lines are views into the text; a continued line
+/// is joined into storage of its own, kept until the read ends.
+class line_splitter {
+public:
+  line_splitter(std::string_view text, const gate_graph& graph)
+      : p_(text.data()),
+        end_(text.data() + text.size()),
+        nul_(static_cast<const char*>(
+            std::memchr(text.data(), '\0', text.size()))),
+        graph_(graph) {}
 
-/// A parsed .names block before lowering.
-struct names_block {
-  std::vector<std::string> nets;  ///< inputs then output
-  std::vector<std::pair<std::string, char>> cover;  ///< (input part, out bit)
-  std::size_t line = 0;
+  /// The next line holding a token, split into `tokens`; false at the end.
+  bool next(std::vector<std::string_view>& tokens) {
+    std::string_view line;
+    while (physical(line)) {
+      if (continues(line)) line = join(line);
+      tokens.clear();
+      for (std::size_t i = 0; i < line.size();) {
+        if (is_space(line[i])) {
+          ++i;
+          continue;
+        }
+        std::size_t j = i;
+        while (j < line.size() && !is_space(line[j])) ++j;
+        tokens.push_back(line.substr(i, j - i));
+        i = j;
+      }
+      if (!tokens.empty()) return true;
+    }
+    return false;
+  }
+
+  /// Number of the last physical line read.
+  [[nodiscard]] std::size_t line() const { return line_; }
+
+private:
+  /// The next physical line without its comment; false at the end.
+  bool physical(std::string_view& line) {
+    if (p_ >= end_) return false;
+    ++line_;
+    auto* eol = static_cast<const char*>(std::memchr(p_, '\n', end_ - p_));
+    if (eol == nullptr) eol = end_;
+    line = std::string_view(p_, static_cast<std::size_t>(eol - p_));
+    p_ = eol == end_ ? end_ : eol + 1;
+    if (nul_ != nullptr && nul_ < eol) graph_.fail(line_, "NUL byte in input");
+    line = line.substr(0, line.find('#'));
+    return true;
+  }
+
+  std::string_view join(std::string_view first) {
+    std::string& joined = joined_.emplace_back(first);
+    joined.resize(joined.find_last_of('\\'));
+    std::string_view more;
+    while (physical(more)) {
+      joined += more;
+      if (!continues(joined)) break;
+      joined.resize(joined.find_last_of('\\'));
+    }
+    return joined;
+  }
+
+  const char* p_;
+  const char* end_;
+  const char* nul_;  ///< first NUL byte of the text, if any
+  const gate_graph& graph_;
+  std::size_t line_ = 0;
+  std::deque<std::string> joined_;  ///< stable: names may point into it
 };
 
-/// Lowers one SOP cover to AND/OR/NOT netlist gates.
-void lower_names(netlist& result, const names_block& block,
-                 std::size_t& fresh) {
-  const std::size_t num_inputs = block.nets.size() - 1;
-  const std::string& output = block.nets.back();
-
-  // Constant covers.
-  if (num_inputs == 0) {
-    const bool value = !block.cover.empty() && block.cover.front().second == '1';
-    result.add_gate(value ? gate_kind::constant1 : gate_kind::constant0, {},
-                    output);
-    return;
+/// One .names block being read.  Its cover lowers cube by cube: a '0'
+/// literal becomes an inverter and a cube of two or more literals an AND,
+/// both on anonymous helper nets; when the block closes, the output gate
+/// ORs the cubes (NOR for an offset cover), buffers or inverts a single
+/// one, or is a constant.
+class cover {
+public:
+  void open(gate_graph& graph, std::span<const std::string_view> nets,
+            std::size_t line) {
+    inputs_.clear();
+    for (const auto name : nets.first(nets.size() - 1)) {
+      inputs_.push_back(graph.net(name, line));
+    }
+    output_name_ = nets.back();
+    output_ = graph.net(output_name_, line);
+    line_ = line;
+    bit_ = 0;
+    constant_ = false;
+    products_.clear();
+    open_ = true;
   }
 
-  // The output polarity of a BLIF cover is uniform (all lines share the same
-  // output bit); a '0' output lists the offset instead of the onset.
-  bool onset = true;
-  if (!block.cover.empty()) onset = block.cover.front().second == '1';
+  [[nodiscard]] bool is_open() const { return open_; }
 
-  auto fresh_net = [&](const char* tag) {
-    // Skip names already present (e.g. when re-reading our own output).
-    std::string name;
-    do {
-      name = "_blif" + std::to_string(fresh++) + tag;
-    } while (result.has_net(name));
-    return name;
-  };
-
-  std::vector<netlist::net_index> product_nets;
-  for (const auto& [mask, out_bit] : block.cover) {
-    if (mask.size() != num_inputs) {
-      fail(block.line, "cover width mismatch in .names " + output);
+  void add_cube(gate_graph& graph, std::span<const std::string_view> tokens,
+                std::size_t line) {
+    const bool nullary = inputs_.empty();
+    if (tokens.size() != (nullary ? 1u : 2u)) {
+      graph.fail(line, nullary ? "bad constant cover" : "bad cover line");
     }
-    std::vector<netlist::net_index> literals;
-    for (std::size_t i = 0; i < num_inputs; ++i) {
-      if (mask[i] == '-') continue;
-      netlist::net_index n = result.net_by_name(block.nets[i]);
-      if (mask[i] == '0') {
-        const auto inv = result.add_gate(gate_kind::inverter, {n},
-                                         fresh_net("n"));
-        n = inv;
-      } else if (mask[i] != '1') {
-        fail(block.line, "bad cover character");
+    const std::string_view bit = tokens.back();
+    if (bit != "0" && bit != "1") {
+      graph.fail(line, nullary ? "constant cover must be 0 or 1"
+                               : "output bit must be 0 or 1");
+    }
+    if (bit_ != 0 && bit[0] != bit_) {
+      graph.fail(line, "cover mixes output bits 0 and 1 in .names " +
+                           std::string(output_name_));
+    }
+    bit_ = bit[0];
+    if (nullary) return;
+
+    const std::string_view mask = tokens.front();
+    if (mask.size() != inputs_.size()) {
+      graph.fail(line,
+                 "cover width mismatch in .names " + std::string(output_name_));
+    }
+    for (const char c : mask) {
+      if (c != '0' && c != '1' && c != '-') {
+        graph.fail(line, "bad cover character");
       }
-      literals.push_back(n);
     }
-    if (literals.empty()) {
-      // Tautological cube: the cover is constant.
-      result.add_gate(onset ? gate_kind::constant1 : gate_kind::constant0, {},
-                      output);
-      return;
+    if (constant_) return;  // an earlier cube covers everything
+    literals_.clear();
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i] == '-') continue;
+      net_id n = inputs_[i];
+      if (mask[i] == '0') {
+        n = graph.anonymous_net();
+        graph.add_gate(gate_kind::inverter, {&inputs_[i], 1}, n, false, line);
+      }
+      literals_.push_back(n);
     }
-    if (literals.size() == 1) {
-      product_nets.push_back(literals.front());
+    if (literals_.empty()) {
+      constant_ = true;
+    } else if (literals_.size() == 1) {
+      products_.push_back(literals_.front());
     } else {
-      product_nets.push_back(
-          result.add_gate(gate_kind::and_gate, literals, fresh_net("a")));
+      products_.push_back(graph.anonymous_net());
+      graph.add_gate(gate_kind::and_gate, literals_, products_.back(), false,
+                     line);
     }
   }
 
-  if (product_nets.empty()) {
-    // Empty cover: constant 0 onset (or constant 1 if offset listed).
-    result.add_gate(onset ? gate_kind::constant0 : gate_kind::constant1, {},
-                    output);
-    return;
+  void close(gate_graph& graph) {
+    if (!open_) return;
+    open_ = false;
+    const bool onset = bit_ != '0';
+    gate_kind kind = onset ? gate_kind::or_gate : gate_kind::nor_gate;
+    std::span<const net_id> fanins = products_;
+    if (inputs_.empty()) {
+      kind = bit_ == '1' ? gate_kind::constant1 : gate_kind::constant0;
+    } else if (constant_) {
+      kind = onset ? gate_kind::constant1 : gate_kind::constant0;
+    } else if (products_.empty()) {
+      kind = onset ? gate_kind::constant0 : gate_kind::constant1;
+    } else if (products_.size() == 1) {
+      kind = onset ? gate_kind::buffer : gate_kind::inverter;
+    }
+    if (kind == gate_kind::constant0 || kind == gate_kind::constant1) {
+      fanins = {};
+    }
+    graph.add_gate(kind, fanins, output_, false, line_);
   }
-  if (product_nets.size() == 1 && onset) {
-    result.add_gate(gate_kind::buffer, {product_nets.front()}, output);
-    return;
-  }
-  if (product_nets.size() == 1) {
-    result.add_gate(gate_kind::inverter, {product_nets.front()}, output);
-    return;
-  }
-  result.add_gate(onset ? gate_kind::or_gate : gate_kind::nor_gate,
-                  product_nets, output);
-}
+
+private:
+  bool open_ = false;
+  std::vector<net_id> inputs_;
+  net_id output_ = 0;
+  std::string_view output_name_;
+  std::size_t line_ = 0;   ///< the .names line
+  char bit_ = 0;           ///< output bit of the cubes; 0 before the first
+  bool constant_ = false;  ///< a cube without literals was read
+  std::vector<net_id> literals_;  ///< reused per cube
+  std::vector<net_id> products_;
+};
 
 }  // namespace
 
-netlist read_blif(std::istream& is) {
-  netlist result;
-  std::string raw_line;
-  std::string line;
-  std::size_t line_number = 0;
-  std::vector<names_block> blocks;
-  std::size_t fresh = 0;
-  bool ended = false;
-
-  auto read_logical_line = [&]() -> bool {
-    line.clear();
-    while (std::getline(is, raw_line)) {
-      ++line_number;
-      if (raw_line.find('\0') != std::string::npos) {
-        fail(line_number, "NUL byte in input");
-      }
-      if (const auto hash = raw_line.find('#'); hash != std::string::npos) {
-        raw_line.resize(hash);
-      }
-      // Line continuation.
-      while (!raw_line.empty() &&
-             (raw_line.back() == '\\' ||
-              (raw_line.size() >= 2 && raw_line.ends_with("\\\r")))) {
-        raw_line.resize(raw_line.find_last_of('\\'));
-        std::string next;
-        if (!std::getline(is, next)) break;
-        ++line_number;
-        raw_line += next;
-      }
-      line = raw_line;
-      if (!tokenize(line).empty()) return true;
-    }
-    return false;
-  };
-
-  std::vector<std::string> pending_outputs;
-  names_block* open_block = nullptr;
-
-  while (read_logical_line()) {
-    const auto tokens = tokenize(line);
-    for (const std::string& t : tokens) {
-      if (t.size() > max_identifier_len) {
-        fail(line_number, "token exceeds " +
-                              std::to_string(max_identifier_len) +
-                              " characters");
+aig read_blif(std::string_view text) {
+  gate_graph graph("blif", text.size());
+  line_splitter lines(text, graph);
+  std::vector<std::string_view> tokens;
+  cover block;
+  while (lines.next(tokens)) {
+    const std::size_t n = lines.line();
+    for (const auto t : tokens) {
+      if (t.size() > gate_graph::max_name_length) {
+        graph.fail(n, "token exceeds " +
+                          std::to_string(gate_graph::max_name_length) +
+                          " characters");
       }
     }
-    const std::string& head = tokens.front();
-    if (head[0] == '.') {
-      open_block = nullptr;
-      if (head == ".model") {
-        if (tokens.size() > 1) result.set_name(tokens[1]);
-      } else if (head == ".inputs") {
-        for (std::size_t i = 1; i < tokens.size(); ++i) {
-          result.add_input(tokens[i]);
-        }
-      } else if (head == ".outputs") {
-        for (std::size_t i = 1; i < tokens.size(); ++i) {
-          pending_outputs.push_back(tokens[i]);
-        }
-      } else if (head == ".names") {
-        if (tokens.size() < 2) fail(line_number, ".names needs an output");
-        names_block block;
-        block.nets.assign(tokens.begin() + 1, tokens.end());
-        block.line = line_number;
-        blocks.push_back(std::move(block));
-        open_block = &blocks.back();
-      } else if (head == ".latch") {
-        if (tokens.size() < 3) fail(line_number, ".latch needs input output");
-        const std::string& input = tokens[1];
-        const std::string& output = tokens[2];
-        bool init = false;
-        // Optional fields: [<type> <control>] [<init-val>].
-        if (tokens.size() >= 4) {
-          const std::string& last = tokens.back();
-          if (last == "1" || last == "3") init = last == "1";
-        }
-        result.add_gate(gate_kind::dff,
-                        {result.net_by_name(input)}, output, init);
-      } else if (head == ".end") {
-        ended = true;
-        break;
-      } else {
-        fail(line_number, "unsupported directive " + head);
-      }
+    const std::string_view head = tokens.front();
+    const auto args = std::span(tokens).subspan(1);
+    if (head[0] != '.') {
+      if (!block.is_open()) graph.fail(n, "cover line outside .names");
+      block.add_cube(graph, tokens, n);
+      continue;
+    }
+    block.close(graph);
+    if (head == ".model") {
+      // The AIG carries no model name.
+    } else if (head == ".inputs") {
+      for (const auto name : args) graph.add_input(graph.net(name, n), n);
+    } else if (head == ".outputs") {
+      for (const auto name : args) graph.add_output(graph.net(name, n));
+    } else if (head == ".names") {
+      if (args.empty()) graph.fail(n, ".names needs an output");
+      block.open(graph, args, n);
+    } else if (head == ".latch") {
+      if (args.size() < 2) graph.fail(n, ".latch needs input output");
+      // Optional fields: [<type> <control>] [<init-val>]; 1 sets the
+      // initial value, 0/2/3 (don't care, unknown) leave it 0.
+      const bool init = args.size() >= 3 && args.back() == "1";
+      const net_id input = graph.net(args[0], n);
+      graph.add_gate(gate_kind::dff, {&input, 1}, graph.net(args[1], n), init,
+                     n);
+    } else if (head == ".end") {
+      break;
     } else {
-      if (!open_block) fail(line_number, "cover line outside .names");
-      if (open_block->nets.size() == 1) {
-        // Constant: single token "0" or "1".
-        if (tokens.size() != 1) fail(line_number, "bad constant cover");
-        open_block->cover.emplace_back("", tokens[0][0]);
-      } else {
-        if (tokens.size() != 2) fail(line_number, "bad cover line");
-        open_block->cover.emplace_back(tokens[0], tokens[1][0]);
-      }
+      graph.fail(n, "unsupported directive " + std::string(head));
     }
   }
-  (void)ended;
-
-  // Register all declared net names before lowering so that generated
-  // helper nets never collide with names later in the file.
-  for (const auto& block : blocks) {
-    for (const auto& net : block.nets) result.net_by_name(net);
-  }
-  for (const auto& block : blocks) {
-    lower_names(result, block, fresh);
-  }
-  for (const auto& net : pending_outputs) {
-    result.mark_output(result.net_by_name(net));
-  }
-  if (!result.is_fully_driven()) {
-    throw std::invalid_argument("blif: undriven nets referenced");
-  }
-  return result;
-}
-
-netlist read_blif_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_blif(is);
-}
-
-netlist read_blif_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::invalid_argument("blif: cannot open " + path);
-  return read_blif(is);
+  block.close(graph);
+  return graph.lower();
 }
 
 void write_blif(const netlist& circuit, std::ostream& os) {

@@ -1,6 +1,5 @@
 #include "netlist/netlist.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace xsfq {
@@ -65,102 +64,6 @@ netlist::net_index netlist::net_by_name(const std::string& name) {
     return it->second;
   }
   return add_net(name);
-}
-
-bool netlist::has_net(const std::string& name) const {
-  return by_name_.contains(name);
-}
-
-std::size_t netlist::num_dffs() const {
-  return static_cast<std::size_t>(
-      std::count_if(gates_.begin(), gates_.end(), [](const gate& g) {
-        return g.kind == gate_kind::dff;
-      }));
-}
-
-bool netlist::is_fully_driven() const {
-  return std::all_of(driver_.begin(), driver_.end(),
-                     [](std::int32_t d) { return d != -1; });
-}
-
-aig netlist::to_aig() const {
-  if (!is_fully_driven()) {
-    throw std::invalid_argument("netlist::to_aig: undriven nets present");
-  }
-  aig result;
-  std::vector<signal> value(net_names_.size(), result.get_constant(false));
-  std::vector<bool> ready(net_names_.size(), false);
-
-  for (const net_index n : inputs_) {
-    value[n] = result.create_pi(net_names_[n]);
-    ready[n] = true;
-  }
-  // DFF outputs are register outputs (combinational inputs).
-  std::vector<std::pair<std::size_t, const gate*>> dffs;
-  for (const gate& g : gates_) {
-    if (g.kind == gate_kind::dff) {
-      value[g.output] =
-          result.create_register_output(g.init, net_names_[g.output]);
-      ready[g.output] = true;
-      dffs.emplace_back(result.num_registers() - 1, &g);
-    }
-  }
-
-  // Lower combinational gates; iterate until fixpoint since file order and
-  // gate order are arbitrary (BENCH allows forward references).
-  auto lower = [&](const gate& g) -> signal {
-    std::vector<signal> ins;
-    ins.reserve(g.fanins.size());
-    for (const net_index f : g.fanins) ins.push_back(value[f]);
-    switch (g.kind) {
-      case gate_kind::constant0: return result.get_constant(false);
-      case gate_kind::constant1: return result.get_constant(true);
-      case gate_kind::buffer: return ins.at(0);
-      case gate_kind::inverter: return !ins.at(0);
-      case gate_kind::and_gate: return result.create_and_n(ins);
-      case gate_kind::or_gate: return result.create_or_n(ins);
-      case gate_kind::nand_gate: return !result.create_and_n(ins);
-      case gate_kind::nor_gate: return !result.create_or_n(ins);
-      case gate_kind::xor_gate: return result.create_xor_n(ins);
-      case gate_kind::xnor_gate: return !result.create_xor_n(ins);
-      case gate_kind::mux_gate:
-        return result.create_mux(ins.at(0), ins.at(1), ins.at(2));
-      case gate_kind::dff: break;  // handled above
-    }
-    throw std::logic_error("netlist::to_aig: unexpected gate kind");
-  };
-
-  bool progress = true;
-  std::size_t remaining = 0;
-  do {
-    progress = false;
-    remaining = 0;
-    for (const gate& g : gates_) {
-      if (g.kind == gate_kind::dff || ready[g.output]) continue;
-      const bool inputs_ready =
-          std::all_of(g.fanins.begin(), g.fanins.end(),
-                      [&](net_index f) { return ready[f]; });
-      if (!inputs_ready) {
-        ++remaining;
-        continue;
-      }
-      value[g.output] = lower(g);
-      ready[g.output] = true;
-      progress = true;
-    }
-  } while (progress && remaining > 0);
-  if (remaining > 0) {
-    throw std::invalid_argument(
-        "netlist::to_aig: combinational cycle detected");
-  }
-
-  for (const net_index n : outputs_) {
-    result.create_po(value[n], net_names_[n]);
-  }
-  for (const auto& [reg, g] : dffs) {
-    result.set_register_input(reg, value[g->fanins.at(0)]);
-  }
-  return result;
 }
 
 netlist netlist_from_aig(const aig& network, const std::string& model_name) {

@@ -1,12 +1,12 @@
 #pragma once
 /// \file netlist.hpp
-/// \brief Technology-independent gate-level netlist (frontend interchange).
+/// \brief Technology-independent gate-level netlist: the writers' view of
+/// an AIG.
 ///
-/// This plays the role of the Yosys frontend in the paper's flow: RTL-ish
-/// circuit descriptions (BENCH/BLIF files, or the programmatic benchmark
-/// generators) arrive as generic gate netlists and are lowered to the AIG
-/// for optimization and xSFQ mapping.  Arbitrary-arity gates are supported;
-/// DFFs model the sequential elements of ISCAS89-style circuits.
+/// `netlist_from_aig` turns an AIG into named AND/NOT/BUFF gates and DFFs,
+/// which `write_bench`/`write_blif` print.  The readers do not build a
+/// netlist: they lower .bench/BLIF text straight into the AIG
+/// (netlist/gate_graph.hpp).  `gate_kind` names the gates both sides know.
 
 #include <cstdint>
 #include <string>
@@ -56,16 +56,13 @@ public:
                      const std::string& name, bool init = false);
 
   /// Finds a net by name; creates a placeholder net if unknown (resolved
-  /// when its driver is later declared — BENCH files are unordered).
+  /// when its driver is later added).
   net_index net_by_name(const std::string& name);
-  [[nodiscard]] bool has_net(const std::string& name) const;
 
   [[nodiscard]] std::size_t num_nets() const { return net_names_.size(); }
   [[nodiscard]] std::size_t num_inputs() const { return inputs_.size(); }
   [[nodiscard]] std::size_t num_outputs() const { return outputs_.size(); }
   [[nodiscard]] std::size_t num_gates() const { return gates_.size(); }
-  /// Number of DFF gates.
-  [[nodiscard]] std::size_t num_dffs() const;
 
   [[nodiscard]] const std::vector<net_index>& inputs() const {
     return inputs_;
@@ -80,13 +77,6 @@ public:
 
   [[nodiscard]] const std::string& name() const { return name_; }
   void set_name(std::string model_name) { name_ = std::move(model_name); }
-
-  /// True when every non-input net has a driver.
-  [[nodiscard]] bool is_fully_driven() const;
-
-  /// Lowers the netlist to an AIG (DFFs become registers).  Throws if some
-  /// net has no driver.
-  [[nodiscard]] aig to_aig() const;
 
 private:
   std::string name_ = "top";

@@ -46,8 +46,8 @@ synth_request make_request_for_spec(const std::string& spec) {
   if (spec.size() > 6 && spec.ends_with(".bench")) {
     req.source = circuit_source::bench_text;
     req.source_text = read_file(spec);
-    // read_bench_file names the model after the file; inlined text must
-    // reproduce that so served and local runs stay byte-identical.
+    // The model name rides on the wire (it names the request, and the
+    // fleet's fallback routing key hashes it); the AIG carries none.
     req.model = basename_without_extension(spec);
   } else if (spec.size() > 5 && spec.ends_with(".blif")) {
     req.source = circuit_source::blif_text;
@@ -59,11 +59,9 @@ synth_request make_request_for_spec(const std::string& spec) {
 aig load_request_circuit(const synth_request& req) {
   switch (req.source) {
     case circuit_source::bench_text:
-      return read_bench_string(req.source_text,
-                               req.model.empty() ? "top" : req.model)
-          .to_aig();
+      return read_bench(req.source_text);
     case circuit_source::blif_text:
-      return read_blif_string(req.source_text).to_aig();
+      return read_blif(req.source_text);
     case circuit_source::registry:
     default:
       return benchgen::make_benchmark(req.spec);

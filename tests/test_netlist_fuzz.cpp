@@ -4,7 +4,7 @@
 /// or silent mis-parse — because the serving daemon feeds these parsers
 /// with whatever bytes a client sends.  A deterministic mutation loop then
 /// sweeps hundreds of corrupted variants of valid netlists through both
-/// readers (and to_aig) asserting the parse-or-typed-throw contract, and an
+/// readers asserting the parse-or-typed-throw contract, and an
 /// end-to-end check pins that a served malformed circuit comes back as an
 /// error response on a connection that stays open.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "benchgen/iscas85.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/blif_io.hpp"
 #include "netlist/netlist.hpp"
@@ -50,18 +51,29 @@ const char* const valid_blif =
 
 /// The contract every malformed input must satisfy: a typed throw (or a
 /// clean parse for mutations that happen to stay well-formed), nothing
-/// else.  to_aig runs on survivors so lowering shares the guarantee.
+/// else.  The readers lower into the AIG, so lowering shares the guarantee.
 void parse_or_typed_throw(const std::string& text) {
   try {
-    const netlist bench_net = read_bench_string(text, "fuzz");
-    (void)bench_net.to_aig();
+    (void)read_bench(text);
   } catch (const std::invalid_argument&) {
     // typed rejection is the expected failure mode
   }
   try {
-    const netlist blif_net = read_blif_string(text);
-    (void)blif_net.to_aig();
+    (void)read_blif(text);
   } catch (const std::invalid_argument&) {
+  }
+}
+
+/// Expects a typed error that names the format and the line at fault.
+template <typename Read>
+void expect_line_error(Read&& read, const std::string& text,
+                       const std::string& format) {
+  try {
+    (void)read(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_TRUE(std::string(e.what()).starts_with(format + ": line "))
+        << e.what();
   }
 }
 
@@ -74,7 +86,7 @@ TEST(NetlistFuzz, TruncatedLinesThrowTypedErrors) {
       "INPUT(a)\nOUTPUT(y)\ny = FROB(a, a)",  // unknown gate
   };
   for (const char* text : truncated) {
-    EXPECT_THROW(read_bench_string(text, "t"), std::invalid_argument) << text;
+    expect_line_error(read_bench, text, "bench");
   }
   const char* blif_truncated[] = {
       ".model m\n.inputs a\n.outputs y\n.names\n",       // .names w/o output
@@ -82,9 +94,15 @@ TEST(NetlistFuzz, TruncatedLinesThrowTypedErrors) {
       ".model m\n.inputs a\n.outputs y\n1 1\n",          // cover w/o .names
       ".model m\n.inputs a\n.outputs y\n.latch a\n",     // .latch w/o output
       ".model m\n.frobnicate\n",                         // unknown directive
+      // Covers a reader could silently mis-lower:
+      ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n",
+      ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 x\n",
+      ".model m\n.outputs y\n.names y\n7\n",
+      // An undriven output named like a cover's helper net.
+      ".model m\n.inputs a b\n.outputs _blif0a\n.names a b y\n11 1\n",
   };
   for (const char* text : blif_truncated) {
-    EXPECT_THROW(read_blif_string(text), std::invalid_argument) << text;
+    expect_line_error(read_blif, text, "blif");
   }
   // Truncation at every byte boundary of a valid file: each prefix either
   // parses (some prefixes are complete netlists) or throws typed.
@@ -99,67 +117,73 @@ TEST(NetlistFuzz, TruncatedLinesThrowTypedErrors) {
 }
 
 TEST(NetlistFuzz, CombinationalCyclesAreDetectedNotLoopedOn) {
-  // BENCH allows forward references, so a cycle parses fine — the typed
-  // error must come from to_aig's fixpoint, not an infinite loop.
-  const netlist cyc = read_bench_string(
-      "INPUT(a)\nOUTPUT(y)\n"
-      "p = AND(q, a)\n"
-      "q = AND(p, a)\n"
-      "y = AND(p, q)\n",
-      "cyc");
-  EXPECT_THROW(cyc.to_aig(), std::invalid_argument);
-  // Self-loop, same contract.
-  const netlist self = read_bench_string(
-      "INPUT(a)\nOUTPUT(y)\ns = AND(s, a)\ny = BUF(s)\n", "self");
-  EXPECT_THROW(self.to_aig(), std::invalid_argument);
+  // BENCH allows forward references, so every line of a cycle is well
+  // formed — the typed error must come from the lowering's topological
+  // pass, not an infinite loop.
+  expect_line_error(read_bench,
+                    "INPUT(a)\nOUTPUT(y)\n"
+                    "p = AND(q, a)\n"
+                    "q = AND(p, a)\n"
+                    "y = AND(p, q)\n",
+                    "bench");
+  // Self-loop, same contract; a loop through a register is no cycle.
+  expect_line_error(read_bench,
+                    "INPUT(a)\nOUTPUT(y)\ns = AND(s, a)\ny = BUF(s)\n",
+                    "bench");
+  EXPECT_NO_THROW(
+      read_bench("INPUT(a)\nOUTPUT(y)\ns = AND(r, a)\nr = DFF(s)\n"
+                 "y = BUF(s)\n"));
+  expect_line_error(read_blif,
+                    ".model m\n.inputs a\n.outputs y\n.names y a y\n11 1\n",
+                    "blif");
 }
 
 TEST(NetlistFuzz, OversizedIdentifiersAreRejected) {
   const std::string huge(10000, 'x');
-  EXPECT_THROW(
-      read_bench_string("INPUT(" + huge + ")\nOUTPUT(y)\ny = BUF(" + huge +
-                            ")\n",
-                        "t"),
-      std::invalid_argument);
-  EXPECT_THROW(
-      read_bench_string("INPUT(a)\nOUTPUT(y)\n" + huge + " = BUF(a)\ny = "
-                        "BUF(a)\n",
-                        "t"),
-      std::invalid_argument);
-  EXPECT_THROW(read_blif_string(".model m\n.inputs " + huge +
-                                "\n.outputs y\n.names " + huge + " y\n1 1\n"),
-               std::invalid_argument);
+  expect_line_error(
+      read_bench, "INPUT(" + huge + ")\nOUTPUT(y)\ny = BUF(" + huge + ")\n",
+      "bench");
+  expect_line_error(
+      read_bench,
+      "INPUT(a)\nOUTPUT(y)\n" + huge + " = BUF(a)\ny = BUF(a)\n", "bench");
+  expect_line_error(read_blif,
+                    ".model m\n.inputs " + huge + "\n.outputs y\n.names " +
+                        huge + " y\n1 1\n",
+                    "blif");
   // At the cap is still fine — the limit must not reject real names.
   const std::string big_ok(4096, 'x');
-  EXPECT_NO_THROW(read_bench_string(
-      "INPUT(" + big_ok + ")\nOUTPUT(y)\ny = BUF(" + big_ok + ")\n", "t"));
+  EXPECT_NO_THROW(read_bench("INPUT(" + big_ok + ")\nOUTPUT(y)\ny = BUF(" +
+                             big_ok + ")\n"));
 }
 
 TEST(NetlistFuzz, NulBytesAreRejected) {
   std::string bench(valid_bench);
   bench[bench.size() / 2] = '\0';
   try {
-    read_bench_string(bench, "t");
+    (void)read_bench(bench);
     FAIL() << "NUL byte should have been rejected";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("NUL"), std::string::npos);
   }
   std::string blif(valid_blif);
   blif[blif.size() / 2] = '\0';
-  EXPECT_THROW(read_blif_string(blif), std::invalid_argument);
+  expect_line_error(read_blif, blif, "blif");
 }
 
 TEST(NetlistFuzz, DeterministicMutationSweepNeverCrashes) {
-  // A seeded LCG drives byte flips, deletions, and splices over both valid
-  // sources; every mutant must parse or throw typed.  Deterministic, so a
-  // failure reproduces by seed — no corpus files, no flakes.
+  // A seeded LCG drives byte flips, deletions, and splices over the valid
+  // sources and c432 as exported in both formats; every mutant must parse
+  // or throw typed.  Deterministic, so a failure reproduces by seed — no
+  // corpus files, no flakes.
   std::uint64_t state = 0x5eedf00dULL;
   const auto next = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return static_cast<std::uint32_t>(state >> 33);
   };
-  for (const std::string& source : {std::string(valid_bench),
-                                    std::string(valid_blif)}) {
+  const netlist c432 = netlist_from_aig(benchgen::make_c432(), "c432");
+  for (const std::string& source :
+       {std::string(valid_bench), std::string(valid_blif),
+        write_bench_string(c432), write_blif_string(c432)}) {
     for (int round = 0; round < 400; ++round) {
       std::string mutant = source;
       const unsigned edits = 1 + next() % 4;
