@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
             << "polarity (3.1.4) contributes the largest single step, as the\n"
             << "paper's 100% -> Table 3 duplication reduction implies.\n"
             << report.entries.size() << " flows on " << report.threads
-            << " worker threads (" << runner.steals() << " steals): "
+            << " worker threads: "
             << static_cast<long>(report.flow_ms_sum) << " ms of flow time in "
             << static_cast<long>(report.wall_ms) << " ms wall clock; "
             << "optimize cache " << cache.opt_hits << " hits / "

@@ -52,10 +52,7 @@ int main(int argc, char** argv) {
     names.push_back(entry.name);
   }
 
-  // Explicit runner (rather than run_batch) so the work-stealing and
-  // result-cache statistics can be reported below.
-  flow::batch_runner runner(threads);
-  const auto report = runner.run(names, flow::flow_options{});
+  const auto report = flow::run_batch(names, flow::flow_options{}, threads);
 
   table_printer t({"Circuit", "Suite", "PI/PO/FF", "AIG", "LA/FA", "Dupl",
                    "Splt", "DROC", "xSFQ JJ", "RSFQ JJ", "Savings"});
@@ -92,8 +89,7 @@ int main(int argc, char** argv) {
               << table_printer::ratio(summary.geomean_savings) << " across "
               << summary.circuits << " circuits (paper: >80% average JJ"
               << " reduction).\n"
-              << report.threads << " worker threads ("
-              << runner.steals() << " steals): "
+              << report.threads << " worker threads: "
               << static_cast<long>(report.flow_ms_sum) << " ms of flow time in "
               << static_cast<long>(report.wall_ms) << " ms wall clock.\n";
   }

@@ -105,7 +105,7 @@ int run_corpus(const cli_options& cli) {
   // the stragglers at the tail of a skewed suite.
   options.opt.flow_jobs = std::max(1u, cli.synth.flow_jobs);
 
-  // One batch job per file on the work-stealing pool, results in input
+  // One batch job per file on the runner's pool, results in input
   // order.  Parsing happens inside the job, so a malformed file fails its
   // own entry (and parsing parallelizes) instead of aborting the whole run.
   // Each job checks the signal flag on entry, so a SIGINT drains in-flight

@@ -84,105 +84,34 @@ batch_summary summarize(const batch_report& report) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool (per-worker deques + stealing) and cross-run result cache.
+// Worker pool (one FIFO of offered claim loops) and cross-run result cache.
 // ---------------------------------------------------------------------------
 
 struct batch_runner::impl {
-  // ----- work-stealing pool -------------------------------------------------
+  // ----- pool ---------------------------------------------------------------
 
   unsigned num_threads = 1;  ///< mirror of the owner's worker count
-
-  /// One deque per worker; the owner pops the front, thieves pop the back.
-  struct worker_queue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> jobs;
-  };
-
-  std::vector<std::unique_ptr<worker_queue>> queues;
-  std::mutex mutex;  ///< guards the sleep/wake protocol and shutdown flag
+  mutable std::mutex mutex;  ///< guards offers and shutting_down
   std::condition_variable work_ready;
-  std::condition_variable batch_done;
-  std::atomic<std::size_t> queued{0};     ///< jobs sitting in some deque
-  std::atomic<std::size_t> in_flight{0};  ///< queued + currently executing
-  std::atomic<std::uint64_t> steal_count{0};
+  /// Claim loops offered by run_subtasks, taken front-first by idle workers.
+  std::deque<std::function<void()>> offers;
   bool shutting_down = false;
   std::vector<std::thread> workers;
-  /// Round-robin cursor; atomic because run_subtasks() submits from
-  /// arbitrary threads concurrently (batch run() still submits from one).
-  std::atomic<std::size_t> next_queue{0};
 
-  bool try_pop(std::size_t self, std::function<void()>& job) {
-    {
-      worker_queue& own = *queues[self];
-      std::lock_guard<std::mutex> lock(own.mutex);
-      if (!own.jobs.empty()) {
-        job = std::move(own.jobs.front());
-        own.jobs.pop_front();
-        queued.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    for (std::size_t offset = 1; offset < queues.size(); ++offset) {
-      worker_queue& victim = *queues[(self + offset) % queues.size()];
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      if (!victim.jobs.empty()) {
-        job = std::move(victim.jobs.back());
-        victim.jobs.pop_back();
-        queued.fetch_sub(1, std::memory_order_relaxed);
-        steal_count.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void worker_loop(std::size_t self) {
+  void worker_loop() {
     for (;;) {
-      std::function<void()> job;
-      if (try_pop(self, job)) {
-        job();
-        if (in_flight.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> lock(mutex);
-          batch_done.notify_all();
-        }
-        continue;
+      std::function<void()> offer;
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        work_ready.wait(lock,
+                        [this] { return shutting_down || !offers.empty(); });
+        if (offers.empty()) return;  // shutting down, nothing left to run
+        offer = std::move(offers.front());
+        offers.pop_front();
       }
-      std::unique_lock<std::mutex> lock(mutex);
-      work_ready.wait(lock, [this] {
-        return shutting_down || queued.load(std::memory_order_relaxed) > 0;
-      });
-      if (shutting_down && queued.load(std::memory_order_relaxed) == 0) {
-        return;
-      }
+      offer();
     }
   }
-
-  void submit(std::function<void()> job) {
-    in_flight.fetch_add(1);
-    {
-      const std::size_t slot =
-          next_queue.fetch_add(1, std::memory_order_relaxed) % queues.size();
-      worker_queue& q = *queues[slot];
-      std::lock_guard<std::mutex> lock(q.mutex);
-      // Increment-then-push inside the queue lock: a pop (which holds the
-      // same lock) always observes the increment before the job, so
-      // `queued` can never underflow, and a worker woken by a momentarily
-      // early increment serializes on this lock and finds the job.
-      queued.fetch_add(1, std::memory_order_relaxed);
-      q.jobs.push_back(std::move(job));
-    }
-    // Empty critical section pairs the increment with the workers'
-    // check-then-wait, closing the lost-wakeup window.
-    { std::lock_guard<std::mutex> lock(mutex); }
-    work_ready.notify_one();
-  }
-
-  void wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex);
-    batch_done.wait(lock, [this] { return in_flight.load() == 0; });
-  }
-
-  // ----- intra-flow subtasks (caller participates) --------------------------
 
   /// One run_subtasks invocation: tasks are claimed through an atomic cursor
   /// by pool workers *and* the submitting thread, so the group always drains
@@ -217,40 +146,26 @@ struct batch_runner::impl {
     auto group = std::make_shared<subtask_group>();
     group->tasks = std::move(tasks);
     const std::size_t n = group->tasks.size();
-    // Offer at most one claim job per *other* worker (more thieves than
-    // workers just adds wakeups); each helper drains the cursor until the
-    // group is empty, so surplus tasks spread over however many workers are
-    // actually free, and the caller claims whatever nobody picked up.
+    // Offer at most one claim loop per *other* worker: with the caller
+    // claiming too, at most num_threads tasks of the group run at once.
+    // Each loop drains the cursor until the group is empty, so surplus tasks
+    // spread over however many workers are actually free, and the caller
+    // claims whatever nobody picked up.
     const std::size_t helpers = std::min<std::size_t>(n - 1, num_threads - 1);
-    for (std::size_t i = 0; i < helpers; ++i) {
-      submit([group] {
-        while (group->run_next()) {
-        }
-      });
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      for (std::size_t i = 0; i < helpers; ++i) {
+        offers.emplace_back([group] {
+          while (group->run_next()) {
+          }
+        });
+      }
     }
+    for (std::size_t i = 0; i < helpers; ++i) work_ready.notify_one();
     while (group->run_next()) {
     }
     std::unique_lock<std::mutex> lock(group->m);
     group->cv.wait(lock, [&] { return group->done.load() == n; });
-  }
-
-  /// Copies `options` with the pool installed as the partitioned-optimize
-  /// executor (when requested and not caller-supplied) and the runner's
-  /// region cache installed for grain-mode flows.  Neither joins the
-  /// fingerprint — both change wall-clock only — so cache keys are
-  /// unaffected.
-  flow_options with_pool_executor(const flow_options& options) {
-    flow_options out = options;
-    if (out.opt.flow_jobs > 1 && !out.opt.executor) {
-      out.opt.executor = [this](std::vector<std::function<void()>>&& tasks) {
-        run_subtasks(std::move(tasks));
-      };
-    }
-    if (out.opt.partition_grain > 0 && out.opt.regions == nullptr &&
-        cache_enabled.load(std::memory_order_relaxed)) {
-      out.opt.regions = &region_tier;
-    }
-    return out;
   }
 
   // ----- cross-run result cache --------------------------------------------
@@ -294,12 +209,6 @@ struct batch_runner::impl {
   /// Disk-persistent tier behind the in-memory full cache (set_disk_cache);
   /// owns its own mutex, so lookups never hold cache_mutex across file IO.
   std::unique_ptr<disk_result_cache> disk;
-  /// Registry generators are deterministic for the process lifetime, so a
-  /// benchmark's content hash (and gate count, which keys the effective
-  /// partition clamp) is memoized: repeat full-cache hits skip the
-  /// (re)generation entirely.  Bounded by the registry size.
-  std::unordered_map<std::string, std::pair<std::uint64_t, std::size_t>>
-      hash_memo;
   std::atomic<bool> cache_enabled{true};
   std::atomic<std::uint64_t> full_hits{0};
   std::atomic<std::uint64_t> full_misses{0};
@@ -368,10 +277,31 @@ struct batch_runner::impl {
     evict_retained_locked();
   }
 
-  std::shared_ptr<const flow_result> lookup_full(const cache_key& key) {
-    std::lock_guard<std::mutex> lock(cache_mutex);
-    const auto it = full_cache.find(key);
-    return it == full_cache.end() ? nullptr : it->second;
+  /// The stored result for `key` from memory, else from the disk tier
+  /// (promoted into memory), else nullptr.
+  std::shared_ptr<const flow_result> find_stored(const cache_key& key) {
+    const std::uint64_t mem_start = trace::now_us();
+    std::shared_ptr<const flow_result> entry;
+    {
+      std::lock_guard<std::mutex> lock(cache_mutex);
+      const auto it = full_cache.find(key);
+      if (it != full_cache.end()) entry = it->second;
+    }
+    if (entry) {
+      full_hits.fetch_add(1, std::memory_order_relaxed);
+      trace::record("cache.full_hit", mem_start, trace::now_us() - mem_start);
+      return entry;
+    }
+    full_misses.fetch_add(1, std::memory_order_relaxed);
+    if (!disk) return nullptr;
+    const std::uint64_t disk_start = trace::now_us();
+    auto loaded = disk->load(key.circuit, key.options);
+    trace::record(loaded ? "cache.disk_hit" : "cache.disk_miss", disk_start,
+                  trace::now_us() - disk_start);
+    if (!loaded) return nullptr;
+    entry = std::make_shared<const flow_result>(*std::move(loaded));
+    store_full(key, entry, /*persist=*/false);
+    return entry;
   }
 
   void store_full(const cache_key& key,
@@ -424,12 +354,7 @@ struct batch_runner::impl {
   void abandon_opt(const cache_key& key) {
     std::lock_guard<std::mutex> lock(cache_mutex);
     opt_cache.erase(key);
-    for (auto it = opt_order.begin(); it != opt_order.end(); ++it) {
-      if (*it == key) {
-        opt_order.erase(it);
-        break;
-      }
-    }
+    std::erase(opt_order, key);
   }
 
   /// Normalizes options for fingerprinting.  Cache keys fingerprint the
@@ -457,95 +382,62 @@ struct batch_runner::impl {
     return {hash_mix_str(circuit_hash, name), fingerprint(keyed)};
   }
 
-  /// Replays a cached result's stage timings as from_cache progress events,
-  /// substituting this run's (re)generate cost for the cached one.
-  static void replay_timings(const flow_result& cached, double generate_ms,
-                             const stage_observer& observer) {
-    if (!observer) return;
-    for (std::size_t i = 0; i < cached.timings.size(); ++i) {
-      const stage_timing& t = cached.timings[i];
-      const bool is_generate = i == 0 && t.stage == "generate";
-      observer({t.stage, i, cached.timings.size(),
-                is_generate ? generate_ms : t.ms, t.counters,
-                /*from_cache=*/true});
-    }
-  }
+  /// Which cache tiers one flow uses.  `retained` is `results` plus the
+  /// retained-network tier, which keeps the network for a later synth_delta.
+  enum class tiers { none, results, retained };
 
-  /// Materializes a cache hit for the by-value entry points: deep-copies,
-  /// restores the caller's name, and charges this run's (re)generate cost.
-  flow_result finish_hit(const flow_result& cached, const std::string& name,
-                         double generate_ms) {
-    flow_result r = cached;  // deep copy outside the cache lock
-    r.name = name;
-    // Charge this run's (re)generate cost; downstream stage timings are
-    // the cached run's measurements.
-    if (!r.timings.empty() && r.timings.front().stage == "generate") {
-      r.total_ms += generate_ms - r.timings.front().ms;
-      r.timings.front().ms = generate_ms;
+  /// The one flow path: the canned paper flow (generate -> optimize -> map
+  /// -> baseline) over an already-built network, on the calling thread.
+  /// With the result tiers (and the cache enabled), a memory or disk hit
+  /// returns the stored entry itself and replays its timings, unchanged,
+  /// through the observer with from_cache=true; a miss runs the flow through
+  /// the shared-future optimize tier and stores the result.  With no tiers,
+  /// nothing is looked up or stored, the region cache included: a cold run
+  /// of exactly this circuit.  The pool serves a partitioned optimize either
+  /// way; neither it nor the region cache joins the fingerprint, because
+  /// both change wall-clock only.
+  std::shared_ptr<const flow_result> run(aig network, const std::string& name,
+                                         const flow_options& caller_options,
+                                         const stage_observer& observer,
+                                         tiers use) {
+    flow_options options = caller_options;
+    if (options.opt.flow_jobs > 1 && !options.opt.executor) {
+      options.opt.executor = [this](std::vector<std::function<void()>>&& t) {
+        run_subtasks(std::move(t));
+      };
     }
-    return r;
-  }
-
-  /// Outcome of the shared-ownership core: the (immutable) cache entry plus
-  /// whether it was served from a cache tier.  Hits hand back the stored
-  /// entry itself — zero copies; the by-value wrappers copy, the daemon
-  /// (latency-critical) reads through the pointer.
-  struct cached_outcome {
-    std::shared_ptr<const flow_result> entry;
-    bool hit = false;
-  };
-
-  /// The canned paper flow for one entry with every cache tier applied:
-  /// in-memory full results, the disk-persistent tier, and the shared-future
-  /// optimize tier.  `network` may arrive empty for registry entries whose
-  /// content hash is memoized; `generate` then rebuilds it on demand.
-  cached_outcome run_cached_core(const std::string& name,
-                                 std::uint64_t circuit_hash,
-                                 std::size_t num_gates,
-                                 const flow_options& options,
-                                 std::optional<aig> network,
-                                 double generate_ms,
-                                 const std::function<aig()>& generate,
-                                 const stage_observer& observer) {
-    using clock = std::chrono::steady_clock;
-    const flow_options keyed = keyed_options(num_gates, options);
-    const cache_key full_key = full_key_for(circuit_hash, name, keyed);
-    const std::uint64_t mem_start = trace::now_us();
-    if (auto cached = lookup_full(full_key)) {
-      full_hits.fetch_add(1, std::memory_order_relaxed);
-      trace::record("cache.full_hit", mem_start, trace::now_us() - mem_start);
-      replay_timings(*cached, generate_ms, observer);
-      return {std::move(cached), /*hit=*/true};
+    const bool cached =
+        use != tiers::none && cache_enabled.load(std::memory_order_relaxed);
+    if (use == tiers::none) {
+      options.opt.regions = nullptr;
+    } else if (cached && options.opt.partition_grain > 0 &&
+               options.opt.regions == nullptr) {
+      options.opt.regions = &region_tier;
     }
-    full_misses.fetch_add(1, std::memory_order_relaxed);
-    if (disk) {
-      const std::uint64_t disk_start = trace::now_us();
-      auto loaded = disk->load(full_key.circuit, full_key.options);
-      trace::record(loaded ? "cache.disk_hit" : "cache.disk_miss", disk_start,
-                    trace::now_us() - disk_start);
-      if (loaded) {
-        auto entry =
-            std::make_shared<const flow_result>(*std::move(loaded));
-        store_full(full_key, entry, /*persist=*/false);
-        replay_timings(*entry, generate_ms, observer);
-        return {std::move(entry), /*hit=*/true};
+    cache_key full_key;
+    cache_key opt_key;
+    if (cached) {
+      const std::uint64_t circuit_hash = network.content_hash();
+      if (use == tiers::retained) retain_network(circuit_hash, network);
+      const flow_options keyed = keyed_options(network.num_gates(), options);
+      full_key = full_key_for(circuit_hash, name, keyed);
+      opt_key = {circuit_hash, fingerprint(keyed.opt)};
+      if (auto entry = find_stored(full_key)) {
+        for (std::size_t i = 0; observer && i < entry->timings.size(); ++i) {
+          const stage_timing& t = entry->timings[i];
+          observer({t.stage, i, entry->timings.size(), t.ms, t.counters,
+                    /*from_cache=*/true});
+        }
+        return entry;
       }
-    }
-    if (!network) {  // hash came from the memo or the caller
-      const auto start = clock::now();
-      network = generate();
-      const std::chrono::duration<double, std::milli> elapsed =
-          clock::now() - start;
-      generate_ms += elapsed.count();
     }
 
     flow f("synthesis");
-    f.add_stage(stages::preset(std::move(*network), name));
-    if (options.run_optimize) {
-      const cache_key opt_key{circuit_hash, fingerprint(keyed.opt)};
-      // Claim happens when the stage *runs* (on a worker), so whichever
-      // entry gets there first produces and everyone else — ready or still
-      // in flight on a sibling worker — consumes the same result.
+    f.add_stage(stages::preset(std::move(network), name));
+    if (cached && options.run_optimize) {
+      // Claim happens when the stage *runs*, so whichever flow gets there
+      // first produces and everyone else — ready or still in flight on
+      // another thread — consumes the same result.
       f.add_stage("optimize", [this, opt_key,
                                params = options.opt](flow_context& ctx) {
         opt_claim claim = claim_opt(opt_key);
@@ -571,130 +463,12 @@ struct batch_runner::impl {
           apply_opt_counters(ctx.counters, entry->stats.work);
         }
       });
+      options.run_optimize = false;  // handled above
     }
-    flow_options tail = options;
-    tail.run_optimize = false;  // handled above
-    f.add_stages(make_synthesis_flow(tail));
-
-    // The preset stage only copies the pre-built network; fold the actual
-    // generation cost back into its timing slot.
-    flow_result result = f.run(observer);
-    if (!result.timings.empty() && result.timings.front().stage == "generate") {
-      result.timings.front().ms += generate_ms;
-      result.total_ms += generate_ms;
-    }
-    auto entry = std::make_shared<const flow_result>(std::move(result));
-    store_full(full_key, entry, /*persist=*/true);
-    return {std::move(entry), /*hit=*/false};
-  }
-
-  /// Registry entry point: the benchmark generator is deterministic for the
-  /// process lifetime, so its content hash is memoized and repeat hits skip
-  /// the (re)generation entirely.
-  flow_result run_cached_flow(const std::string& name,
-                              const flow_options& caller_options) {
-    const flow_options options = with_pool_executor(caller_options);
-    if (!cache_enabled.load(std::memory_order_relaxed)) {
-      return run_flow(name, options);
-    }
-    using clock = std::chrono::steady_clock;
-    double generate_ms = 0.0;
-    std::optional<aig> network;
-
-    std::uint64_t circuit_hash = 0;
-    std::size_t num_gates = 0;
-    bool have_hash = false;
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex);
-      const auto it = hash_memo.find(name);
-      if (it != hash_memo.end()) {
-        circuit_hash = it->second.first;
-        num_gates = it->second.second;
-        have_hash = true;
-      }
-    }
-    if (!have_hash) {
-      const auto start = clock::now();
-      network = benchgen::make_benchmark(name);
-      const std::chrono::duration<double, std::milli> elapsed =
-          clock::now() - start;
-      generate_ms += elapsed.count();
-      circuit_hash = network->content_hash();
-      num_gates = network->num_gates();
-      std::lock_guard<std::mutex> lock(cache_mutex);
-      hash_memo.emplace(name, std::make_pair(circuit_hash, num_gates));
-    }
-    return materialize(
-        run_cached_core(name, circuit_hash, num_gates, options,
-                        std::move(network), generate_ms,
-                        [&name] { return benchgen::make_benchmark(name); },
-                        {}),
-        name, generate_ms);
-  }
-
-  /// By-value materialization of a core outcome.  Hits pay the same deep
-  /// copy finish_hit always made; misses pay one copy out of the stored
-  /// entry — exactly the copy store_full used to make, just relocated.
-  flow_result materialize(cached_outcome out, const std::string& name,
-                          double generate_ms) {
-    if (out.hit) return finish_hit(*out.entry, name, generate_ms);
-    return *out.entry;
-  }
-
-  /// Serving entry point: an already-built network (parsed from a request
-  /// payload or a corpus file) with optional per-stage progress streaming.
-  /// Shared-ownership return — the daemon renders straight out of the cache
-  /// entry, so hit and miss alike move zero flow_results.
-  std::shared_ptr<const flow_result> run_cached_network_shared(
-      aig network, const std::string& name,
-      const flow_options& caller_options, const stage_observer& observer) {
-    const flow_options options = with_pool_executor(caller_options);
-    if (!cache_enabled.load(std::memory_order_relaxed)) {
-      flow f("synthesis");
-      f.add_stage(stages::preset(std::move(network), name));
-      f.add_stages(make_synthesis_flow(options));
-      return std::make_shared<const flow_result>(f.run(observer));
-    }
-    const std::uint64_t circuit_hash = network.content_hash();
-    const std::size_t num_gates = network.num_gates();
-    // Every served network is retained (byte-budgeted LRU) so a later
-    // synth_delta request can name it by content hash.
-    retain_network(circuit_hash, network);
-    return run_cached_core(name, circuit_hash, num_gates, options,
-                           std::move(network), 0.0, {}, observer)
-        .entry;
-  }
-
-  flow_result run_cached_network(aig network, const std::string& name,
-                                 const flow_options& caller_options,
-                                 const stage_observer& observer) {
-    const flow_options options = with_pool_executor(caller_options);
-    if (!cache_enabled.load(std::memory_order_relaxed)) {
-      flow f("synthesis");
-      f.add_stage(stages::preset(std::move(network), name));
-      f.add_stages(make_synthesis_flow(options));
-      return f.run(observer);
-    }
-    const std::uint64_t circuit_hash = network.content_hash();
-    const std::size_t num_gates = network.num_gates();
-    retain_network(circuit_hash, network);
-    return materialize(run_cached_core(name, circuit_hash, num_gates, options,
-                                       std::move(network), 0.0, {}, observer),
-                       name, 0.0);
-  }
-
-  /// Every tier bypassed: the ECO force-full comparator.  The pool executor
-  /// is still installed when asked for (parallelism never changes bytes),
-  /// but the region cache is explicitly NOT.
-  flow_result run_uncached_network(aig network, const std::string& name,
-                                   const flow_options& caller_options,
-                                   const stage_observer& observer) {
-    flow_options options = with_pool_executor(caller_options);
-    options.opt.regions = nullptr;
-    flow f("synthesis");
-    f.add_stage(stages::preset(std::move(network), name));
     f.add_stages(make_synthesis_flow(options));
-    return f.run(observer);
+    auto entry = std::make_shared<const flow_result>(f.run(observer));
+    if (cached) store_full(full_key, entry, /*persist=*/true);
+    return entry;
   }
 };
 
@@ -705,13 +479,11 @@ batch_runner::batch_runner(unsigned num_threads) : impl_(new impl) {
   }
   num_threads_ = num_threads;
   impl_->num_threads = num_threads;
-  impl_->queues.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i) {
-    impl_->queues.push_back(std::make_unique<impl::worker_queue>());
-  }
+  // One thread is the caller itself: run_subtasks then never offers work.
+  if (num_threads == 1) return;
   impl_->workers.reserve(num_threads);
   for (unsigned i = 0; i < num_threads; ++i) {
-    impl_->workers.emplace_back([this, i] { impl_->worker_loop(i); });
+    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
   }
 }
 
@@ -725,12 +497,9 @@ batch_runner::~batch_runner() {
   delete impl_;
 }
 
-std::uint64_t batch_runner::steals() const {
-  return impl_->steal_count.load();
-}
-
 std::size_t batch_runner::queue_depth() const {
-  return impl_->queued.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  return impl_->offers.size();
 }
 
 void batch_runner::set_cache_enabled(bool enabled) {
@@ -810,13 +579,7 @@ bool batch_runner::drop_entry(std::uint64_t circuit_hash,
     std::lock_guard<std::mutex> lock(impl_->cache_mutex);
     if (impl_->full_cache.erase(full_key) > 0) {
       dropped = true;
-      for (auto it = impl_->full_order.begin(); it != impl_->full_order.end();
-           ++it) {
-        if (*it == full_key) {
-          impl_->full_order.erase(it);
-          break;
-        }
-      }
+      std::erase(impl_->full_order, full_key);
     }
     // The optimized-network tier only drops *ready* entries: an in-flight
     // producer still owns its promise and must be left to publish.
@@ -825,14 +588,8 @@ bool batch_runner::drop_entry(std::uint64_t circuit_hash,
         oit->second.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready) {
       impl_->opt_cache.erase(oit);
+      std::erase(impl_->opt_order, opt_key);
       dropped = true;
-      for (auto it = impl_->opt_order.begin(); it != impl_->opt_order.end();
-           ++it) {
-        if (*it == opt_key) {
-          impl_->opt_order.erase(it);
-          break;
-        }
-      }
     }
   }
   if (impl_->disk && impl_->disk->drop_entry(full_key.circuit,
@@ -856,22 +613,21 @@ std::string batch_runner::disk_cache_directory() const {
 flow_result batch_runner::run_cached(aig network, const std::string& name,
                                      const flow_options& options,
                                      const stage_observer& observer) {
-  return impl_->run_cached_network(std::move(network), name, options,
-                                   observer);
+  return *run_cached_shared(std::move(network), name, options, observer);
 }
 
 std::shared_ptr<const flow_result> batch_runner::run_cached_shared(
     aig network, const std::string& name, const flow_options& options,
     const stage_observer& observer) {
-  return impl_->run_cached_network_shared(std::move(network), name, options,
-                                          observer);
+  return impl_->run(std::move(network), name, options, observer,
+                    impl::tiers::retained);
 }
 
 flow_result batch_runner::run_uncached(aig network, const std::string& name,
                                        const flow_options& options,
                                        const stage_observer& observer) {
-  return impl_->run_uncached_network(std::move(network), name, options,
-                                     observer);
+  return *impl_->run(std::move(network), name, options, observer,
+                     impl::tiers::none);
 }
 
 void batch_runner::run_subtasks(std::vector<std::function<void()>> tasks) {
@@ -885,7 +641,6 @@ void batch_runner::clear_cache() {
     impl_->full_order.clear();
     impl_->opt_cache.clear();
     impl_->opt_order.clear();
-    impl_->hash_memo.clear();
     impl_->retained.clear();
     impl_->retained_lru.clear();
     impl_->retained_bytes = 0;  // retained_evictions stays cumulative
@@ -905,27 +660,25 @@ batch_report batch_runner::run_jobs(
   batch_report report;
   report.threads = num_threads_;
   report.entries.resize(jobs.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    report.entries[i].name = std::move(names[i]);
-  }
-
-  // Each worker writes only its own slot; the report is read after
-  // wait_idle(), so no further synchronization is needed.
+  // Each task writes only its own slot, and run_subtasks returns after the
+  // last task finished, so the report needs no further synchronization.
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    batch_entry* slot = &report.entries[i];
-    std::function<flow_result()> job = std::move(jobs[i]);
-    impl_->submit([slot, job = std::move(job)] {
+    batch_entry& slot = report.entries[i];
+    slot.name = std::move(names[i]);
+    tasks.push_back([&slot, job = std::move(jobs[i])] {
       try {
-        slot->result = job();
-        slot->ok = true;
+        slot.result = job();
+        slot.ok = true;
       } catch (const std::exception& e) {
-        slot->error = e.what();
+        slot.error = e.what();
       } catch (...) {
-        slot->error = "unknown exception";
+        slot.error = "unknown exception";
       }
     });
   }
-  impl_->wait_idle();
+  impl_->run_subtasks(std::move(tasks));
 
   const std::chrono::duration<double, std::milli> wall = clock::now() - start;
   report.wall_ms = wall.count();
@@ -937,13 +690,8 @@ batch_report batch_runner::run_jobs(
 
 batch_report batch_runner::run(const std::vector<std::string>& benchmark_names,
                                const flow_options& options) {
-  std::vector<std::function<flow_result()>> jobs;
-  jobs.reserve(benchmark_names.size());
-  for (const auto& name : benchmark_names) {
-    jobs.push_back(
-        [this, name, options] { return impl_->run_cached_flow(name, options); });
-  }
-  return run_jobs(benchmark_names, std::move(jobs));
+  return run(benchmark_names,
+             std::vector<flow_options>(benchmark_names.size(), options));
 }
 
 batch_report batch_runner::run(
@@ -957,7 +705,8 @@ batch_report batch_runner::run(
   for (std::size_t i = 0; i < benchmark_names.size(); ++i) {
     jobs.push_back([this, name = benchmark_names[i],
                     options = per_entry_options[i]] {
-      return impl_->run_cached_flow(name, options);
+      return *impl_->run(benchgen::make_benchmark(name), name, options, {},
+                         impl::tiers::results);
     });
   }
   return run_jobs(benchmark_names, std::move(jobs));

@@ -5,27 +5,28 @@
 /// One persistent worker pool runs a flow per circuit concurrently; results
 /// come back in input order with per-circuit timing, so the output of a
 /// 8-thread run is byte-identical to a 1-thread run (every flow is
-/// deterministic, and aggregation happens in input order after the barrier).
+/// deterministic, and each result lands in its input-ordered slot).
 ///
-/// Scheduling uses per-worker deques with work stealing: each worker pops
-/// its own queue front-first and, when empty, steals from the back of a
-/// sibling's queue.  Skewed suites (one c6288 among small circuits) no
-/// longer straggle behind a single shared queue, and stealing never affects
-/// output bytes because every result is written to its input-ordered slot.
+/// There is one scheduler.  A batch, like a partitioned optimize's regions,
+/// is a group of closures claimed through one shared cursor by the calling
+/// thread and by pool workers (self-scheduling: whoever is free takes the
+/// next entry), so a skewed suite (one c6288 among small circuits) never
+/// waits behind a fixed assignment.  The caller returns when its own group
+/// is done, whatever else the pool is running.
 ///
-/// Canned-flow batches additionally consult a cross-run result cache keyed
+/// Canned-flow runs additionally consult a cross-run result cache keyed
 /// by (circuit content hash, flow-options fingerprint): re-running a suite
 /// entry under identical options returns the cached flow_result, and
 /// re-running the same circuit under different *mapping* options still
 /// reuses the cached optimized network (the expensive stage).
 ///
-/// The runner has three ways in: a batch (run / run_jobs, entries on the
-/// pool, results in input order), a single cached or uncached flow on the
-/// calling thread (run_cached_shared and friends — the daemon's handler
-/// threads call these, sharing every cache tier, so a warm hit is answered
-/// from the shared cache entry without a pool handoff or a copy), and
-/// run_subtasks, through which the pool serves a partitioned optimize's
-/// regions for whichever thread runs the flow.
+/// Every canned flow takes one path, on the calling thread: a batch entry
+/// (run), a served request (run_cached_shared — the daemon's handler
+/// threads share every cache tier, so a warm hit is answered from the
+/// shared cache entry without a pool handoff or a copy), and the cold ECO
+/// comparator (run_uncached).  A hit returns the stored result with the
+/// timings it was computed with.  The `generate` stage times the same thing
+/// everywhere: handing the already-built network to the flow.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,7 +60,7 @@ struct batch_report {
   std::vector<batch_entry> entries;
   double wall_ms = 0.0;      ///< elapsed wall-clock for the whole batch
   double flow_ms_sum = 0.0;  ///< sum of per-circuit flow times (CPU-ish)
-  unsigned threads = 1;      ///< worker threads that served the batch
+  unsigned threads = 1;      ///< the runner's num_threads()
 
   std::size_t num_ok() const;
   std::size_t num_failed() const;
@@ -107,15 +108,16 @@ struct batch_cache_stats {
 };
 
 /// Thread-pool flow executor.  Construct once, run many batches; worker
-/// threads, their deques, and the result cache persist across run() calls.
-/// One batch at a time: run() and run_jobs() must not be called concurrently
-/// from multiple threads on the same runner (in-flight accounting and
-/// wall-clock timing are per-runner, not per-call).  The single-flow entry
-/// points (run_cached, run_cached_shared, run_uncached) are safe from any
-/// number of threads at once, also beside a batch.
+/// threads and the result cache persist across run() calls.  The batch and
+/// single-flow entry points (run, run_jobs, run_cached, run_cached_shared,
+/// run_uncached, run_subtasks) are safe from any number of threads at
+/// once: two batches, or a batch beside single flows, each wait only for
+/// their own work.
 class batch_runner {
  public:
-  /// \param num_threads worker count; 0 picks hardware_concurrency (min 1).
+  /// \param num_threads threads that may run a batch's entries, the caller
+  /// included; 0 picks hardware_concurrency (min 1).  A 1-thread runner
+  /// starts no worker and runs everything on its callers.
   explicit batch_runner(unsigned num_threads = 0);
   ~batch_runner();
   batch_runner(const batch_runner&) = delete;
@@ -123,14 +125,10 @@ class batch_runner {
 
   unsigned num_threads() const { return num_threads_; }
 
-  /// Jobs taken from a sibling worker's deque since construction.  Purely
-  /// observational (load-balance visibility in benches and tests); stealing
-  /// never changes output bytes.
-  std::uint64_t steals() const;
-
-  /// Jobs sitting in some worker deque right now, not yet claimed: batch
-  /// entries and queued run_subtasks helpers.  A point-in-time gauge for
-  /// serving metrics; racy by nature, never used for control decisions.
+  /// Claim loops offered to the pool and not yet taken by a worker, one per
+  /// helper a batch or a partitioned optimize asked for.  A point-in-time
+  /// gauge for serving metrics; racy by nature, never used for control
+  /// decisions.
   std::size_t queue_depth() const;
 
   /// Runs the canned paper flow (generate -> optimize -> map -> baseline)
@@ -144,8 +142,9 @@ class batch_runner {
   batch_report run(const std::vector<std::string>& benchmark_names,
                    const std::vector<flow_options>& per_entry_options);
 
-  /// Fully generic: one job per entry, executed on the pool, results in
-  /// input order.  Bypasses the result cache.
+  /// Fully generic: one job per entry, claimed by the calling thread and up
+  /// to num_threads() - 1 pool workers, results in input order.  Bypasses
+  /// the result cache.
   batch_report run_jobs(std::vector<std::string> names,
                         std::vector<std::function<flow_result()>> jobs);
 
@@ -153,7 +152,7 @@ class batch_runner {
   /// calling thread with every cache tier applied (memory, in-flight
   /// optimize dedup, disk).  The observer (optional) streams per-stage
   /// progress; cache hits replay the cached timings with from_cache=true.
-  /// Pool workers may call it from inside a run_jobs job.
+  /// A run_jobs job may call it.
   flow_result run_cached(aig network, const std::string& name,
                          const flow_options& options,
                          const stage_observer& observer = {});
@@ -216,11 +215,11 @@ class batch_runner {
                   const std::string& name, const flow_options& options);
 
   /// Runs every closure to completion with pool assistance: the closures are
-  /// offered to the worker deques AND claimed by the calling thread itself,
-  /// so progress is guaranteed even when every worker is busy (a pool worker
-  /// may call this re-entrantly — that is exactly the intra-flow parallelism
-  /// path).  Closures must not throw; callers capture errors themselves.
-  /// The cached flow entry points install it as the optimize executor
+  /// claimed by the calling thread and by up to num_threads() - 1 idle
+  /// workers, so progress is guaranteed even when every worker is busy (a
+  /// job may call this re-entrantly — that is exactly the intra-flow
+  /// parallelism path).  Closures must not throw; callers capture errors
+  /// themselves.  The flow entry points install it as the optimize executor
   /// whenever flow_options asks for opt.flow_jobs > 1 without one.
   void run_subtasks(std::vector<std::function<void()>> tasks);
 

@@ -195,6 +195,7 @@ std::uint64_t fingerprint(const flow_options& options) {
   h = hash_mix(h, options.baseline.costs.dff);
   h = hash_mix(h, options.baseline.costs.splitter);
   h = hash_mix(h, options.emit_verilog);
+  h = hash_mix(h, result_version);
   return h;
 }
 

@@ -185,10 +185,20 @@ struct flow_options {
   bool emit_verilog = false;  ///< fill flow_result::verilog
 };
 
+/// Version of what the flow computes, mixed into fingerprint(flow_options).
+/// Bump it in the change that makes some stage produce a different result
+/// for the same circuit and options (a fixed rewrite gain rule, a new
+/// mapper cost): result-cache keys then change, so the disk tier's entries
+/// of the old algorithm read as plain misses and age out, instead of being
+/// served.  A change to the serialized layout bumps
+/// disk_result_cache::format_version instead.
+inline constexpr std::uint64_t result_version = 1;
+
 /// 64-bit digest covering every knob in `options` (fields are mixed in a
-/// fixed order, so the digest itself is order-sensitive).  Two option sets
-/// with equal fingerprints produce identical flow results on the same
-/// circuit; used as the options half of the batch_runner result-cache key.
+/// fixed order, so the digest itself is order-sensitive) and
+/// result_version.  Two option sets with equal fingerprints produce
+/// identical flow results on the same circuit; used as the options half of
+/// the batch_runner result-cache key.
 std::uint64_t fingerprint(const flow_options& options);
 /// Same digest restricted to the optimize stage's knobs (the optimized-
 /// network cache tier is shared across differing map/baseline options).

@@ -20,7 +20,7 @@ class region_cache;  // opt/partition.hpp
 
 /// Runs every closure to completion before returning (closures must not
 /// throw; callers wrap their work to capture errors).  The flow layer backs
-/// this with the batch_runner's work-stealing pool so one large circuit can
+/// this with the batch_runner's worker pool so one large circuit can
 /// occupy several workers; when empty, partitions run inline on the calling
 /// thread with identical results.
 using subtask_runner =

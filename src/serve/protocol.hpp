@@ -63,8 +63,9 @@ namespace xsfq::serve {
 // disk_quarantine_pruned) in cache/server stats
 // v8: status/cache_stats messages and the legacy error encodings retired
 // v9: hello/hello_ok retired, deadline_ms bounded on decode
+// v10: steals retired from server_stats (the runner no longer steals work)
 // (see docs/protocol.md for the full history).
-inline constexpr std::uint8_t protocol_version = 9;
+inline constexpr std::uint8_t protocol_version = 10;
 /// Upper bound on one frame's payload; a header announcing more is garbage
 /// (the largest legitimate payload is a synth_response with Verilog text).
 inline constexpr std::uint32_t max_frame_payload = 64u << 20;
@@ -340,7 +341,6 @@ struct server_status {
   std::uint64_t jobs_failed = 0;
   std::uint64_t active_connections = 0;
   std::uint32_t worker_threads = 0;
-  std::uint64_t steals = 0;
   double uptime_s = 0.0;
 };
 
@@ -381,9 +381,9 @@ struct server_stats_reply {
   std::uint32_t max_queue = 0;
   std::uint32_t max_inflight = 0;
   std::uint32_t max_conns = 0;
-  /// Subtask helpers of partitioned optimizes queued in the batch_runner's
-  /// worker deques, not yet picked up.  Requests themselves run on their
-  /// handler threads and never queue here.
+  /// Claim loops waiting in the batch_runner pool's offer queue, not yet
+  /// taken by a worker (partitioned-optimize helpers, on a daemon).
+  /// Requests themselves run on their handler threads and never queue here.
   std::uint64_t runner_queue_depth = 0;
   // v4: incremental-resynthesis (ECO) counters.  The cache-tier side
   // (region hits/misses, eco_patches, retained_networks) lives in `cache`;
@@ -434,7 +434,6 @@ void for_each_stat(F&& f, Replies&... r) {
   f("xsfq_jobs_failed_total", r.status.jobs_failed...);
   f("xsfq_active_connections", r.status.active_connections...);
   f("xsfq_worker_threads", r.status.worker_threads...);
-  f("xsfq_steals_total", r.status.steals...);
   f(stat_field{"xsfq_uptime_seconds", stat_merge::max}, r.status.uptime_s...);
   f(R"(xsfq_cache_hits_total{tier="full"})", r.cache.full_hits...);
   f(R"(xsfq_cache_misses_total{tier="full"})", r.cache.full_misses...);

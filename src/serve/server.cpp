@@ -655,7 +655,6 @@ server_stats_reply server::stats() const {
     reply.status.active_connections = active_connections_locked();
   }
   reply.status.worker_threads = runner_->num_threads();
-  reply.status.steals = runner_->steals();
   reply.status.uptime_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start_time_)
                               .count();

@@ -2,8 +2,8 @@
 /// \file server.hpp
 /// \brief The synthesis-as-a-service daemon core (xsfq_served's engine).
 ///
-/// One `server` owns one long-lived flow::batch_runner — the work-stealing
-/// pool plus every result-cache tier, including the optional disk-persistent
+/// One `server` owns one long-lived flow::batch_runner — the worker pool
+/// plus every result-cache tier, including the optional disk-persistent
 /// one — behind up to two listening sockets speaking the serve protocol: a
 /// Unix-domain socket (local clients, trusted by file permissions) and an
 /// optional TCP listener (`listen_address`, remote fleets).  TCP

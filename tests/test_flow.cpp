@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -265,22 +267,32 @@ TEST(Flow, FingerprintSeparatesOptionSets) {
 }
 
 // ---------------------------------------------------------------------------
-// Work stealing.
+// Scheduling.
 // ---------------------------------------------------------------------------
 
-TEST(BatchRunner, WorkStealingRebalancesSkewedJobs) {
+TEST(BatchRunner, SkewedJobsFinishAroundABlockedJob) {
   flow::batch_runner runner(2);
-  // Round-robin submission parks jobs 0,2,4,6 on worker 0 and 1,3,5 on
-  // worker 1.  Job 0 blocks worker 0, so worker 1 must steal 2/4/6 from
-  // worker 0's deque to finish the batch.
+  // Job 0 blocks until jobs 1-6 have all finished, so the other thread must
+  // run all six while it waits.  The bound keeps a broken scheduler from
+  // hanging the test.
+  std::atomic<int> finished{0};
+  std::atomic<bool> saw_all_finished{false};
   std::vector<std::string> names;
   std::vector<std::function<flow::flow_result()>> jobs;
   for (int i = 0; i < 7; ++i) {
     const std::string name = "job" + std::to_string(i);
     names.push_back(name);
-    jobs.push_back([name, i] {
+    jobs.push_back([&, name, i] {
       if (i == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (finished.load() < 6 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        saw_all_finished = finished.load() == 6;
+      } else {
+        ++finished;
       }
       flow::flow_result r;
       r.name = name;
@@ -288,18 +300,89 @@ TEST(BatchRunner, WorkStealingRebalancesSkewedJobs) {
     });
   }
   const auto report = runner.run_jobs(names, std::move(jobs));
+  EXPECT_TRUE(saw_all_finished);
   ASSERT_EQ(report.entries.size(), 7u);
   for (int i = 0; i < 7; ++i) {
     EXPECT_TRUE(report.entries[i].ok);
     EXPECT_EQ(report.entries[i].name, "job" + std::to_string(i));
     EXPECT_EQ(report.entries[i].result.name, report.entries[i].name);
   }
-  EXPECT_GE(runner.steals(), 1u);
 }
 
-TEST(BatchRunner, StealingKeepsRealFlowsByteIdenticalToSingleThread) {
-  // Skewed sizes (c3540 first) force steals on the multi-threaded runner;
-  // every deterministic field must still match the 1-thread run.
+TEST(BatchRunner, BatchDoesNotWaitForAnotherThreadsSubtasks) {
+  flow::batch_runner runner(3);
+  // Thread A's group holds the calling thread and one pool worker on a
+  // latch; a batch from thread B must still finish on the free workers.
+  // The latch opens after at most 2 s, so a batch that waits for A's group
+  // fails the test instead of hanging it.
+  std::mutex m;
+  std::condition_variable cv;
+  bool released = false;
+  int blocked = 0;
+  const auto wait_for_release = [&] {
+    std::unique_lock<std::mutex> lock(m);
+    ++blocked;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
+  std::thread a([&] {
+    runner.run_subtasks({wait_for_release, wait_for_release});
+  });
+  {
+    std::unique_lock<std::mutex> lock(m);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(2),
+                            [&] { return blocked == 2; }));
+  }
+  std::vector<std::string> names{"a", "b", "c"};
+  std::vector<std::function<flow::flow_result()>> jobs(
+      3, [] { return flow::flow_result{}; });
+  bool batch_done = false;
+  std::thread b([&] {
+    const auto report = runner.run_jobs(names, std::move(jobs));
+    EXPECT_EQ(report.num_ok(), 3u);
+    std::lock_guard<std::mutex> lock(m);
+    batch_done = true;
+    cv.notify_all();
+  });
+  bool done_before_release = false;
+  {
+    std::unique_lock<std::mutex> lock(m);
+    done_before_release = cv.wait_for(lock, std::chrono::seconds(2),
+                                      [&] { return batch_done; });
+    released = true;
+  }
+  cv.notify_all();
+  a.join();
+  b.join();
+  EXPECT_TRUE(done_before_release);
+}
+
+TEST(BatchRunner, ConcurrentBatchesKeepTheirOwnEntries) {
+  flow::batch_runner runner(2);
+  const std::vector<std::string> first = {"dec", "s27", "int2float"};
+  const std::vector<std::string> second = {"ctrl", "c432"};
+  flow::batch_report a;
+  flow::batch_report b;
+  std::thread other([&] { b = runner.run(second); });
+  a = runner.run(first);
+  other.join();
+  ASSERT_EQ(a.entries.size(), first.size());
+  ASSERT_EQ(b.entries.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(a.entries[i].ok) << a.entries[i].error;
+    EXPECT_EQ(a.entries[i].name, first[i]);
+    EXPECT_EQ(a.entries[i].result.name, first[i]);
+  }
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    ASSERT_TRUE(b.entries[i].ok) << b.entries[i].error;
+    EXPECT_EQ(b.entries[i].name, second[i]);
+    EXPECT_EQ(b.entries[i].result.name, second[i]);
+  }
+}
+
+TEST(BatchRunner, SkewedRealFlowsByteIdenticalToSingleThread) {
+  // Skewed sizes (c3540 first) spread unevenly over the multi-threaded
+  // runner; every deterministic field must still match the 1-thread run.
   const std::vector<std::string> names = {"c3540", "s27", "dec", "c432",
                                           "int2float", "ctrl"};
   flow::batch_runner single(1);

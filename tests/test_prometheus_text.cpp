@@ -66,7 +66,6 @@ serve::server_stats_reply sample_stats() {
   stats.status.jobs_failed = 1;
   stats.status.active_connections = 2;
   stats.status.worker_threads = 4;
-  stats.status.steals = 3;
   stats.status.uptime_s = 12.5;
   stats.cache.full_hits = 5;
   stats.cache.full_misses = 5;

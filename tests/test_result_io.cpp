@@ -18,6 +18,7 @@
 #include "codec_sweep.hpp"
 #include "flow/batch_runner.hpp"
 #include "flow/disk_cache.hpp"
+#include "util/hash.hpp"
 
 namespace xsfq {
 namespace {
@@ -479,8 +480,10 @@ TEST(DiskCache, RunCachedEmitsObserverEventsLiveThenCached) {
   const aig g = benchgen::make_benchmark("c432");
 
   std::vector<std::pair<std::string, bool>> events;
+  std::vector<double> event_ms;
   const flow::stage_observer observer = [&](const flow::stage_event& ev) {
     events.emplace_back(ev.stage, ev.from_cache);
+    event_ms.push_back(ev.ms);
     EXPECT_EQ(ev.total, 4u);
   };
   const auto live = runner.run_cached(g, "c432", {}, observer);
@@ -490,10 +493,44 @@ TEST(DiskCache, RunCachedEmitsObserverEventsLiveThenCached) {
   for (const auto& [stage, cached] : events) EXPECT_FALSE(cached);
 
   events.clear();
+  event_ms.clear();
   const auto warm = runner.run_cached(g, "c432", {}, observer);
   ASSERT_EQ(events.size(), 4u);
   for (const auto& [stage, cached] : events) EXPECT_TRUE(cached);
   EXPECT_EQ(warm.mapped.stats.jj, live.mapped.stats.jj);
+  // A hit replays the stored timings unchanged, generate included, and
+  // returns the same figures it streamed.
+  ASSERT_EQ(warm.timings.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(event_ms[i], live.timings[i].ms) << events[i].first;
+    EXPECT_EQ(warm.timings[i].ms, live.timings[i].ms) << events[i].first;
+  }
+}
+
+// flow::result_version joins the options half of the result-cache key, so a
+// disk entry stored by an older algorithm is a plain miss, never served.
+TEST(DiskCache, EntryStoredBeforeResultVersionIsAMiss) {
+  temp_dir dir;
+  const std::string cache_dir = dir.path + "/cache";
+  const aig g = benchgen::make_benchmark("c432");
+  const flow::flow_result real = flow::run_flow("c432");
+  flow::flow_result sentinel = real;
+  sentinel.name = "sentinel";
+  sentinel.mapped.stats.jj = real.mapped.stats.jj + 1;
+  // fingerprint(flow_options{}) as computed before result_version existed.
+  constexpr std::uint64_t unversioned_options_key = 0x822debe5c1fed70dull;
+  const std::uint64_t circuit_key = hash_mix_str(g.content_hash(), "c432");
+  {
+    flow::disk_result_cache disk(cache_dir);
+    disk.store(circuit_key, unversioned_options_key, sentinel);
+    ASSERT_TRUE(disk.load(circuit_key, unversioned_options_key).has_value());
+  }
+  flow::batch_runner runner(1);
+  runner.set_disk_cache(cache_dir);
+  const flow::flow_result r = runner.run_cached(g, "c432", {});
+  EXPECT_EQ(runner.cache_stats().disk_hits, 0u);
+  EXPECT_EQ(r.name, "c432");
+  EXPECT_EQ(r.mapped.stats.jj, real.mapped.stats.jj);
 }
 
 }  // namespace

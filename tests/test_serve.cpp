@@ -192,7 +192,8 @@ TEST(ServeProtocol, V6TracePayloadRoundTrips) {
 }
 
 /// Every server_stats scalar set by name to k times a distinct base value
-/// (1..41, the directory "/cache/k"), one fault site and one histogram.
+/// (1..41 without 6, which the retired steals counter held, and the
+/// directory "/cache/k"), one fault site and one histogram.
 server_stats_reply every_field_stats(std::uint64_t k) {
   const auto u32 = [k](std::uint64_t v) {
     return static_cast<std::uint32_t>(k * v);
@@ -203,7 +204,6 @@ server_stats_reply every_field_stats(std::uint64_t k) {
   s.status.jobs_failed = k * 3;
   s.status.active_connections = k * 4;
   s.status.worker_threads = u32(5);
-  s.status.steals = k * 6;
   s.status.uptime_s = static_cast<double>(k) * 7.5;
   s.cache.full_hits = k * 8;
   s.cache.full_misses = k * 9;
@@ -247,7 +247,7 @@ server_stats_reply every_field_stats(std::uint64_t k) {
   return s;
 }
 
-/// The 42 scalars compared by name.
+/// The 41 scalars compared by name.
 void expect_same_scalars(const server_stats_reply& a,
                          const server_stats_reply& b) {
   EXPECT_EQ(a.status.jobs_submitted, b.status.jobs_submitted);
@@ -255,7 +255,6 @@ void expect_same_scalars(const server_stats_reply& a,
   EXPECT_EQ(a.status.jobs_failed, b.status.jobs_failed);
   EXPECT_EQ(a.status.active_connections, b.status.active_connections);
   EXPECT_EQ(a.status.worker_threads, b.status.worker_threads);
-  EXPECT_EQ(a.status.steals, b.status.steals);
   EXPECT_EQ(a.status.uptime_s, b.status.uptime_s);
   EXPECT_EQ(a.cache.full_hits, b.cache.full_hits);
   EXPECT_EQ(a.cache.full_misses, b.cache.full_misses);
@@ -532,24 +531,23 @@ TEST(ServeProtocol, ServerStatsEveryFieldEncodesMergesAndRenders) {
   const server_stats_reply one = every_field_stats(1);
 
   // The wire bytes, pinned: a reordered for_each_stat line or a changed
-  // field width fails here (protocol v8 layout, docs/protocol.md).
+  // field width fails here (protocol v10 layout, docs/protocol.md).
   EXPECT_EQ(
       to_hex(encode_server_stats(one)),
       "0100000000000000020000000000000003000000000000000400000000000000"
-      "0500000006000000000000000000000000001e40080000000000000009000000"
-      "000000000a000000000000000b000000000000000c000000000000000d000000"
-      "000000000e000000000000000f00000000000000100000000000000011000000"
-      "0000000012000000000000001300000000000000140000000000000015000000"
-      "0000000008000000000000002f63616368652f31160000000000000017000000"
-      "00000000180000000000000019000000000000001a000000000000001b000000"
-      "000000001c0000001d0000001e0000001f000000200000002100000000000000"
-      "2200000000000000230000000000000024000000000000002500000000000000"
-      "2600000000000000270000000000000028000000000000002900000000000000"
-      "0100000000000000100000000000000073657276652e73656e642e7265736574"
-      "2a000000000000002b0000000000000001000000000000000d00000000000000"
-      "726571756573745f746f74616c2c000000000000000000000000c04640000000"
-      "0000001240030000000000000000000000000000002c00000000000000000000"
-      "0000000000");
+      "050000000000000000001e40080000000000000009000000000000000a000000"
+      "000000000b000000000000000c000000000000000d000000000000000e000000"
+      "000000000f000000000000001000000000000000110000000000000012000000"
+      "0000000013000000000000001400000000000000150000000000000008000000"
+      "000000002f63616368652f311600000000000000170000000000000018000000"
+      "0000000019000000000000001a000000000000001b000000000000001c000000"
+      "1d0000001e0000001f0000002000000021000000000000002200000000000000"
+      "2300000000000000240000000000000025000000000000002600000000000000"
+      "2700000000000000280000000000000029000000000000000100000000000000"
+      "100000000000000073657276652e73656e642e72657365742a00000000000000"
+      "2b0000000000000001000000000000000d00000000000000726571756573745f"
+      "746f74616c2c000000000000000000000000c046400000000000001240030000"
+      "000000000000000000000000002c000000000000000000000000000000");
 
   const server_stats_reply back =
       decode_server_stats(encode_server_stats(one));
@@ -606,7 +604,6 @@ TEST(ServeProtocol, ServerStatsEveryFieldEncodesMergesAndRenders) {
            "xsfq_jobs_failed_total 3",
            "xsfq_active_connections 4",
            "xsfq_worker_threads 5",
-           "xsfq_steals_total 6",
            "xsfq_uptime_seconds 7.5",
            "xsfq_cache_hits_total{tier=\"full\"} 8",
            "xsfq_cache_misses_total{tier=\"full\"} 9",

@@ -25,20 +25,25 @@ hold:
 
 Wall times (ms) and "info" counters are printed, never gated.
 
---update writes the merged runs to BASELINE instead of gating them.  Each
-row's band is BAND, or SPREAD times the furthest any run's median sat above
-the merged median where that is wider: a row the calibration tracks less
-well (work on other threads, such as a daemon round trip) gets the wider
-band its own spread shows.
+--update writes the merged runs to BASELINE instead of gating them.  It
+needs at least MIN_UPDATE_RUNS runs and exits 2 on fewer.  Each row's band
+is BAND, or SPREAD times the furthest any run's median sat above the merged
+median where that is wider: a row the calibration tracks less well (work
+on other threads, such as a daemon round trip) gets the wider band its own
+spread shows.
 """
 
+import contextlib
 import copy
+import io
 import json
 import statistics
 import sys
 
 BAND = 0.20
-SPREAD = 2.5  # the furthest of 5 runs lies ~1.2 sd out; 2.5x spans ~3 sd
+SPREAD = 2.5  # the furthest of 10 runs lies ~1.5 sd out; 2.5x spans ~3.8 sd
+# Five runs once gave the ECO rows 20% bands where twenty spread 0.80-1.79x.
+MIN_UPDATE_RUNS = 10
 
 
 def key(row):
@@ -161,6 +166,16 @@ def self_test():
         if passed != should_pass:
             bad += 1
             print(f"self-test FAIL: {name}")
+    # The refusal comes before any file is read; these paths do not exist.
+    too_few = ["--update", "BASELINE.json"] + ["RUN.json"] * (MIN_UPDATE_RUNS - 1)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            refused = main(["check_perf_regression.py"] + too_few) == 2
+    except OSError:
+        refused = False
+    if not refused:
+        bad += 1
+        print(f"self-test FAIL: --update refuses {MIN_UPDATE_RUNS - 1} runs")
     print("self-test " + ("failed" if bad else "passed"))
     return 1 if bad else 0
 
@@ -178,6 +193,11 @@ def main(argv):
     paths = args[1:] if update else args
     if len(paths) < 2 or paths[0].startswith("--"):
         print(__doc__)
+        return 2
+    if update and len(paths) - 1 < MIN_UPDATE_RUNS:
+        print(f"perf gate: --update needs at least {MIN_UPDATE_RUNS} runs, got "
+              f"{len(paths) - 1}: fewer runs under-read each row's spread "
+              "(docs/operations.md, 'The perf-gate workflow')")
         return 2
     try:
         current = merge([load(p) for p in paths[1:]])
