@@ -44,19 +44,18 @@ int main(int argc, char** argv) {
   std::cout << "c6288 (16x16 array multiplier): " << g.num_gates()
             << " AIG nodes after optimization, depth " << g.depth() << "\n\n";
 
-  // One preset -> map flow per pipeline depth, all on the worker pool.
+  // One map-only flow per pipeline depth, all on the worker pool.
   flow::batch_runner runner(threads);
   std::vector<std::string> names;
   std::vector<std::function<flow::flow_result()>> jobs;
   for (unsigned k : {0u, 1u, 2u}) {
     names.push_back(std::to_string(k) + "/" + std::to_string(2 * k));
     jobs.push_back([&g, k] {
-      mapping_params p;
-      p.pipeline_stages = k;
-      flow::flow f("pipeline");
-      f.add_stage(flow::stages::preset(g, "c6288"));
-      f.add_stage(flow::stages::map(p));
-      return f.run();
+      flow::flow_options options;
+      options.run_optimize = false;
+      options.run_baseline = false;
+      options.map.pipeline_stages = k;
+      return flow::run_flow(g, "c6288", options);
     });
   }
   const auto report = runner.run_jobs(names, std::move(jobs));

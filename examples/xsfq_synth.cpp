@@ -18,6 +18,9 @@
 ///                        worker pool (1 = sequential pipeline; the
 ///                        partition count changes the result deterministically
 ///                        and joins the result-cache key)
+///     --partition-grain=N
+///                        optimize in fixed regions of N gates (0 = off;
+///                        the grain joins the result-cache key)
 ///     --validate         pulse-level validation against the golden model,
 ///                        plus per-pass sim-equivalence checks in optimize
 ///     --timing           also print per-stage counters as CSV (for perf
@@ -97,29 +100,24 @@ int run_corpus(const cli_options& cli) {
   flow::batch_runner runner(cli.threads);
   if (!cli.cache_dir.empty()) runner.set_disk_cache(cli.cache_dir);
 
-  flow::flow_options options;
-  options.map = cli.synth.map;
-  options.opt.validate_passes = cli.synth.validate;
-  // Intra-flow parallelism applies per entry; the runner injects its own
-  // pool as the partition executor.  With a busy corpus this mostly helps
-  // the stragglers at the tail of a skewed suite.
-  options.opt.flow_jobs = std::max(1u, cli.synth.flow_jobs);
-
   // One batch job per file on the runner's pool, results in input
-  // order.  Parsing happens inside the job, so a malformed file fails its
-  // own entry (and parsing parallelizes) instead of aborting the whole run.
-  // Each job checks the signal flag on entry, so a SIGINT drains in-flight
-  // work and skips the rest instead of aborting mid-write.
+  // order.  Each entry is the request a single run of that file makes,
+  // under the same options translation.  Parsing happens inside the job, so
+  // a malformed file fails its own entry (and parsing parallelizes) instead
+  // of aborting the whole run.  Each job checks the signal flag on entry, so
+  // a SIGINT drains in-flight work and skips the rest instead of aborting
+  // mid-write.
   std::vector<std::function<flow::flow_result()>> jobs;
   jobs.reserve(files.size());
   for (const auto& file : files) {
-    jobs.push_back([&runner, file, options] {
+    jobs.push_back([&runner, &cli, file] {
       if (g_signal != 0) {
         throw std::runtime_error("skipped: interrupted before start");
       }
-      const serve::synth_request req = serve::make_request_for_spec(file);
-      return runner.run_cached(serve::load_request_circuit(req), file,
-                               options);
+      serve::synth_request req = serve::make_request_for_spec(file);
+      serve::apply_cli_options(cli.synth, req);
+      return runner.run_cached(serve::load_request_circuit(req), req.spec,
+                               serve::options_for(req));
     });
   }
   const flow::batch_report report = runner.run_jobs(files, std::move(jobs));
@@ -172,7 +170,7 @@ int main(int argc, char** argv) {
                  "                  [--verilog=F] [--dot=F] [--liberty=F] "
                  "[--validate] [--timing] [--no-timing]\n"
                  "                  [--cache-dir=DIR] [--progress] "
-                 "[--flow-jobs=N]\n"
+                 "[--flow-jobs=N] [--partition-grain=N]\n"
                  "       xsfq_synth --corpus=DIR [--threads=N] [options]\n";
     return 2;
   }

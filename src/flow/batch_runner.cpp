@@ -44,15 +44,6 @@ std::size_t batch_report::num_failed() const {
   return entries.size() - num_ok();
 }
 
-std::vector<const flow_result*> batch_report::ok_results() const {
-  std::vector<const flow_result*> out;
-  out.reserve(entries.size());
-  for (const auto& e : entries) {
-    if (e.ok) out.push_back(&e.result);
-  }
-  return out;
-}
-
 batch_summary summarize(const batch_report& report) {
   batch_summary s;
   double log_sum = 0.0;
@@ -386,16 +377,16 @@ struct batch_runner::impl {
   /// retained-network tier, which keeps the network for a later synth_delta.
   enum class tiers { none, results, retained };
 
-  /// The one flow path: the canned paper flow (generate -> optimize -> map
-  /// -> baseline) over an already-built network, on the calling thread.
-  /// With the result tiers (and the cache enabled), a memory or disk hit
-  /// returns the stored entry itself and replays its timings, unchanged,
-  /// through the observer with from_cache=true; a miss runs the flow through
-  /// the shared-future optimize tier and stores the result.  With no tiers,
-  /// nothing is looked up or stored, the region cache included: a cold run
-  /// of exactly this circuit.  The pool serves a partitioned optimize either
-  /// way; neither it nor the region cache joins the fingerprint, because
-  /// both change wall-clock only.
+  /// The one flow path: run_flow over an already-built network, on the
+  /// calling thread.  With the result tiers (and the cache enabled), a
+  /// memory or disk hit returns the stored entry itself and replays its
+  /// timings, unchanged, through the observer with from_cache=true; a miss
+  /// runs the flow with the shared-future optimize tier as its optimize
+  /// hook and stores the result.  With no tiers, nothing is looked up or
+  /// stored, the region cache included: a cold run of exactly this circuit.
+  /// The pool serves a partitioned optimize either way; neither it nor the
+  /// region cache joins the fingerprint, because both change wall-clock
+  /// only.
   std::shared_ptr<const flow_result> run(aig network, const std::string& name,
                                          const flow_options& caller_options,
                                          const stage_observer& observer,
@@ -423,50 +414,44 @@ struct batch_runner::impl {
       full_key = full_key_for(circuit_hash, name, keyed);
       opt_key = {circuit_hash, fingerprint(keyed.opt)};
       if (auto entry = find_stored(full_key)) {
-        for (std::size_t i = 0; observer && i < entry->timings.size(); ++i) {
+        const auto total = static_cast<std::uint32_t>(entry->timings.size());
+        for (std::uint32_t i = 0; observer && i < total; ++i) {
           const stage_timing& t = entry->timings[i];
-          observer({t.stage, i, entry->timings.size(), t.ms, t.counters,
-                    /*from_cache=*/true});
+          observer({t.stage, i, total, t.ms, t.counters, /*from_cache=*/true});
         }
         return entry;
       }
     }
 
-    flow f("synthesis");
-    f.add_stage(stages::preset(std::move(network), name));
-    if (cached && options.run_optimize) {
-      // Claim happens when the stage *runs*, so whichever flow gets there
-      // first produces and everyone else — ready or still in flight on
-      // another thread — consumes the same result.
-      f.add_stage("optimize", [this, opt_key,
-                               params = options.opt](flow_context& ctx) {
+    // The claim happens when the optimize stage *runs*, so whichever flow
+    // gets there first produces and everyone else — ready or still in
+    // flight on another thread — consumes the same result.
+    optimize_fn optimize;
+    if (cached) {
+      optimize = [this, &opt_key, &options](aig& net) {
         opt_claim claim = claim_opt(opt_key);
-        if (claim.promise) {  // producer: run the stage and publish
-          opt_misses.fetch_add(1, std::memory_order_relaxed);
-          try {
-            optimize_stats st;
-            ctx.network = xsfq::optimize(ctx.network, params, &st);
-            ctx.opt = st;
-            apply_opt_counters(ctx.counters, st.work);
-            claim.promise->set_value(std::make_shared<const opt_entry>(
-                opt_entry{ctx.network, st}));
-          } catch (...) {
-            claim.promise->set_exception(std::current_exception());
-            abandon_opt(opt_key);  // let later runs retry
-            throw;
-          }
-        } else {  // consumer: ready result, or wait for the producer
+        if (!claim.promise) {  // consumer: ready result, or wait for it
           opt_hits.fetch_add(1, std::memory_order_relaxed);
           const auto entry = claim.future.get();  // rethrows producer errors
-          ctx.network = entry->network;
-          ctx.opt = entry->stats;
-          apply_opt_counters(ctx.counters, entry->stats.work);
+          net = entry->network;
+          return entry->stats;
         }
-      });
-      options.run_optimize = false;  // handled above
+        opt_misses.fetch_add(1, std::memory_order_relaxed);
+        try {  // producer: run the stage and publish
+          optimize_stats st;
+          net = xsfq::optimize(net, options.opt, &st);
+          claim.promise->set_value(
+              std::make_shared<const opt_entry>(opt_entry{net, st}));
+          return st;
+        } catch (...) {
+          claim.promise->set_exception(std::current_exception());
+          abandon_opt(opt_key);  // let later runs retry
+          throw;
+        }
+      };
     }
-    f.add_stages(make_synthesis_flow(options));
-    auto entry = std::make_shared<const flow_result>(f.run(observer));
+    auto entry = std::make_shared<const flow_result>(
+        run_flow(std::move(network), name, options, observer, optimize));
     if (cached) store_full(full_key, entry, /*persist=*/true);
     return entry;
   }
@@ -551,20 +536,6 @@ void batch_runner::set_retained_bytes(std::size_t budget) {
   std::lock_guard<std::mutex> lock(impl_->cache_mutex);
   impl_->retained_budget = budget;
   impl_->evict_retained_locked();
-}
-
-region_cache& batch_runner::regions() { return impl_->region_tier; }
-
-void batch_runner::patch_entry(std::uint64_t circuit_hash,
-                               std::size_t num_gates, const std::string& name,
-                               const flow_options& options,
-                               const flow_result& result) {
-  const flow_options keyed = impl_->keyed_options(num_gates, options);
-  const impl::cache_key key =
-      impl_->full_key_for(circuit_hash, name, keyed);
-  impl_->store_full(key, std::make_shared<const flow_result>(result),
-                    /*persist=*/true);
-  impl_->eco_patches.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool batch_runner::drop_entry(std::uint64_t circuit_hash,

@@ -20,13 +20,15 @@
 /// re-running the same circuit under different *mapping* options still
 /// reuses the cached optimized network (the expensive stage).
 ///
-/// Every canned flow takes one path, on the calling thread: a batch entry
-/// (run), a served request (run_cached_shared — the daemon's handler
-/// threads share every cache tier, so a warm hit is answered from the
-/// shared cache entry without a pool handoff or a copy), and the cold ECO
-/// comparator (run_uncached).  A hit returns the stored result with the
-/// timings it was computed with.  The `generate` stage times the same thing
-/// everywhere: handing the already-built network to the flow.
+/// Every canned flow is one flow::run_flow call on the calling thread: a
+/// batch entry (run), a served request (run_cached_shared — the daemon's
+/// handler threads share every cache tier, so a warm hit is answered from
+/// the shared cache entry without a pool handoff or a copy), and the cold
+/// ECO comparator (run_uncached).  The cached paths pass the shared-future
+/// optimize tier as run_flow's optimize hook.  A hit returns the stored
+/// result with the timings it was computed with.  The `generate` stage
+/// times the same thing everywhere: handing the already-built network to
+/// the flow.
 
 #include <cstddef>
 #include <cstdint>
@@ -64,8 +66,6 @@ struct batch_report {
 
   std::size_t num_ok() const;
   std::size_t num_failed() const;
-  /// Results of the successful entries, still in input order.
-  std::vector<const flow_result*> ok_results() const;
 };
 
 /// Deterministic roll-up across the successful circuits of a batch.
@@ -96,7 +96,7 @@ struct batch_cache_stats {
   std::uint64_t disk_quarantined = 0;
   std::uint64_t region_hits = 0;    ///< optimized regions replayed (ECO tier)
   std::uint64_t region_misses = 0;  ///< regions optimized live
-  std::uint64_t eco_patches = 0;    ///< entries patched/dropped by ECO
+  std::uint64_t eco_patches = 0;    ///< drop_entry calls that dropped entries
   std::uint64_t retained_networks = 0;  ///< networks held for delta requests
   /// v7: retained networks evicted by the LRU byte budget (see
   /// set_retained_bytes) — a high rate means sessions churn through more
@@ -190,20 +190,6 @@ class batch_runner {
   /// cache_stats().retained_evictions); the most recent entry is always
   /// kept even when it alone exceeds the budget.
   void set_retained_bytes(std::size_t budget);
-
-  /// The cross-run optimized-region cache shared by every grain-mode flow on
-  /// this runner (installed automatically when flow_options asks for
-  /// opt.partition_grain > 0 without supplying its own cache).
-  region_cache& regions();
-
-  /// Inserts `result` for (circuit, name, options) into the memory tier and
-  /// the disk tier directly, as if a flow had just computed it — the ECO
-  /// patch path: the incrementally recomputed result lands under the edited
-  /// circuit's key without waiting for the next request to recompute it.
-  /// Counted in cache_stats().eco_patches.
-  void patch_entry(std::uint64_t circuit_hash, std::size_t num_gates,
-                   const std::string& name, const flow_options& options,
-                   const flow_result& result);
 
   /// Drops the memory/disk entries (full result + optimized network) for
   /// (circuit, name, options).  Returns true when anything was dropped.  The

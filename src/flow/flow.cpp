@@ -1,155 +1,13 @@
 #include "flow/flow.hpp"
 
 #include <chrono>
-#include <stdexcept>
 #include <utility>
 
+#include "benchgen/registry.hpp"
 #include "core/xsfq_writer.hpp"
-#include "opt/opt_engine.hpp"
 #include "util/hash.hpp"
 
 namespace xsfq::flow {
-
-double flow_result::stage_ms(const std::string& stage_name) const {
-  for (const auto& t : timings) {
-    if (t.stage == stage_name) return t.ms;
-  }
-  return 0.0;
-}
-
-flow& flow::add_stage(std::string stage_name,
-                      std::function<void(flow_context&)> fn) {
-  stages_.push_back({std::move(stage_name), std::move(fn)});
-  return *this;
-}
-
-flow& flow::add_stage(stage s) {
-  stages_.push_back(std::move(s));
-  return *this;
-}
-
-flow& flow::add_stages(const flow& other) {
-  for (const auto& s : other.stages()) stages_.push_back(s);
-  return *this;
-}
-
-flow_result flow::run(const stage_observer& observer) const {
-  return run_context(flow_context{}, observer);
-}
-
-flow_result flow::run_on(const aig& network, std::string circuit_name,
-                         const stage_observer& observer) const {
-  flow_context ctx;
-  ctx.network = network;
-  ctx.name = std::move(circuit_name);
-  return run_context(std::move(ctx), observer);
-}
-
-flow_result flow::run_context(flow_context ctx,
-                              const stage_observer& observer) const {
-  using clock = std::chrono::steady_clock;
-  flow_result result;
-  const auto flow_start = clock::now();
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const auto& s = stages_[i];
-    const auto stage_start = clock::now();
-    ctx.counters = {};
-    s.run(ctx);
-    const std::chrono::duration<double, std::milli> elapsed =
-        clock::now() - stage_start;
-    ctx.counters.nodes = ctx.network.num_gates();
-    result.timings.push_back({s.name, elapsed.count(), ctx.counters});
-    if (observer) {
-      observer({s.name, i, stages_.size(), elapsed.count(), ctx.counters,
-                /*from_cache=*/false});
-    }
-  }
-  const std::chrono::duration<double, std::milli> total =
-      clock::now() - flow_start;
-  result.total_ms = total.count();
-
-  result.name = std::move(ctx.name);
-  result.optimized = std::move(ctx.network);
-  if (ctx.opt) result.opt_stats = *ctx.opt;
-  if (ctx.mapped) result.mapped = std::move(*ctx.mapped);
-  if (ctx.baseline) result.baseline = *ctx.baseline;
-  result.verilog = std::move(ctx.verilog);
-  return result;
-}
-
-void apply_opt_counters(stage_counters& counters, const opt_counters& work) {
-  counters.cuts = work.cuts_enumerated;
-  counters.replacements = work.replacements;
-  counters.arena_bytes = work.cut_arena_bytes;
-  counters.sim_words = work.sim_words;
-  counters.sim_node_evals = work.sim_node_evals;
-  counters.arena_peak_bytes = work.net_arena_bytes;
-  counters.rebuilds_avoided = work.rebuilds_avoided;
-}
-
-namespace stages {
-
-stage benchmark(std::string benchmark_name) {
-  return {"generate", [name = std::move(benchmark_name)](flow_context& ctx) {
-            ctx.name = name;
-            ctx.network = benchgen::make_benchmark(name);
-          }};
-}
-
-stage preset(aig network, std::string circuit_name) {
-  return {"generate",
-          [network = std::move(network),
-           name = std::move(circuit_name)](flow_context& ctx) {
-            ctx.name = name;
-            ctx.network = network;
-          }};
-}
-
-stage optimize(optimize_params params) {
-  return {"optimize", [params](flow_context& ctx) {
-            optimize_stats st;
-            ctx.network = xsfq::optimize(ctx.network, params, &st);
-            apply_opt_counters(ctx.counters, st.work);
-            ctx.opt = st;
-          }};
-}
-
-stage pass(std::string pass_name) {
-  return {pass_name, [pass_name](flow_context& ctx) {
-            // Pooled engines persist across stages and entries, so this
-            // stage's work is the counter delta, not the lifetime total.
-            const opt_engine::lease engine;
-            const opt_counters before = engine->counters();
-            ctx.network = engine->run_pass(ctx.network, pass_name);
-            apply_opt_counters(ctx.counters,
-                               engine->counters().delta_since(before));
-          }};
-}
-
-stage map(mapping_params params) {
-  return {"map", [params](flow_context& ctx) {
-            ctx.mapped = map_to_xsfq(ctx.network, params);
-          }};
-}
-
-stage baseline(rsfq_params params) {
-  return {"baseline", [params](flow_context& ctx) {
-            ctx.baseline = map_to_rsfq(ctx.network, params);
-          }};
-}
-
-stage emit_verilog(std::string module_name) {
-  return {"emit", [module = std::move(module_name)](flow_context& ctx) {
-            if (!ctx.mapped) {
-              throw std::logic_error(
-                  "flow: emit_verilog stage requires a map stage before it");
-            }
-            ctx.verilog = write_xsfq_verilog_string(
-                *ctx.mapped, module.empty() ? ctx.name : module);
-          }};
-}
-
-}  // namespace stages
 
 std::uint64_t fingerprint(const optimize_params& params) {
   std::uint64_t h = 0x0B7E151628AED2A6ull;
@@ -199,26 +57,80 @@ std::uint64_t fingerprint(const flow_options& options) {
   return h;
 }
 
-flow make_synthesis_flow(const flow_options& options) {
-  flow f("synthesis");
-  if (options.run_optimize) f.add_stage(stages::optimize(options.opt));
-  f.add_stage(stages::map(options.map));
-  if (options.run_baseline) f.add_stage(stages::baseline(options.baseline));
-  if (options.emit_verilog) f.add_stage(stages::emit_verilog());
-  return f;
+namespace {
+
+/// The flow itself.  `generate` yields the input network and is timed as
+/// the generate stage; every later stage works on result.optimized.
+template <class Generate>
+flow_result run_stages(Generate&& generate, std::string name,
+                       const flow_options& options,
+                       const stage_observer& observer,
+                       const optimize_fn& optimize) {
+  using clock = std::chrono::steady_clock;
+  const std::uint32_t total = 2 + options.run_optimize +
+                              options.run_baseline + options.emit_verilog;
+  flow_result r;
+  r.name = std::move(name);
+  const auto flow_start = clock::now();
+  auto stage_start = flow_start;
+  // Closes the stage that began at stage_start.
+  const auto finish = [&](const char* stage, stage_counters counters) {
+    const std::chrono::duration<double, std::milli> elapsed =
+        clock::now() - stage_start;
+    counters.nodes = r.optimized.num_gates();
+    const auto index = static_cast<std::uint32_t>(r.timings.size());
+    r.timings.push_back({stage, elapsed.count(), counters});
+    if (observer) {
+      observer({stage, index, total, elapsed.count(), counters,
+                /*from_cache=*/false});
+    }
+    stage_start = clock::now();
+  };
+
+  r.optimized = generate();
+  finish("generate", {});
+  if (options.run_optimize) {
+    if (optimize) {
+      r.opt_stats = optimize(r.optimized);
+    } else {
+      r.optimized = xsfq::optimize(r.optimized, options.opt, &r.opt_stats);
+    }
+    const opt_counters& work = r.opt_stats.work;
+    finish("optimize",
+           {0, work.cuts_enumerated, work.replacements, work.cut_arena_bytes,
+            work.sim_words, work.sim_node_evals, work.net_arena_bytes,
+            work.rebuilds_avoided});
+  }
+  r.mapped = map_to_xsfq(r.optimized, options.map);
+  finish("map", {});
+  if (options.run_baseline) {
+    r.baseline = map_to_rsfq(r.optimized, options.baseline);
+    finish("baseline", {});
+  }
+  if (options.emit_verilog) {
+    r.verilog = write_xsfq_verilog_string(r.mapped, r.name);
+    finish("emit", {});
+  }
+  const std::chrono::duration<double, std::milli> elapsed =
+      clock::now() - flow_start;
+  r.total_ms = elapsed.count();
+  return r;
+}
+
+}  // namespace
+
+flow_result run_flow(aig network, std::string name,
+                     const flow_options& options,
+                     const stage_observer& observer,
+                     const optimize_fn& optimize) {
+  return run_stages([&] { return std::move(network); }, std::move(name),
+                    options, observer, optimize);
 }
 
 flow_result run_flow(const std::string& benchmark_name,
                      const flow_options& options) {
-  flow full("synthesis");
-  full.add_stage(stages::benchmark(benchmark_name));
-  full.add_stages(make_synthesis_flow(options));
-  return full.run();
-}
-
-flow_result run_flow(const aig& network, std::string circuit_name,
-                     const flow_options& options) {
-  return make_synthesis_flow(options).run_on(network, std::move(circuit_name));
+  return run_stages([&] { return benchgen::make_benchmark(benchmark_name); },
+                    benchmark_name, options, {}, {});
 }
 
 }  // namespace xsfq::flow

@@ -7,7 +7,8 @@
 /// optimize/baseline stats, per-stage timings — round-trips through the
 /// field walker in util/serialize.hpp.  Each struct's layout is the one
 /// `fields` list below; the serve protocol reuses the lists for
-/// `mapping_params`, `stage_counters` and `stage_timing`.
+/// `mapping_params`, `stage_counters`, `stage_timing` and `stage_event`
+/// (its progress frame).
 ///
 /// Two members are codecs rather than layouts.  The AIG is stored as its
 /// construction replay: CIs and gates in node-array order (the array is
@@ -102,6 +103,10 @@ auto fields(of<stage_counters> auto& c, auto&& f) {
 
 auto fields(of<stage_timing> auto& t, auto&& f) {
   return f(t.stage, t.ms, t.counters);
+}
+
+auto fields(of<stage_event> auto& e, auto&& f) {
+  return f(e.stage, e.index, e.total, e.ms, e.counters, e.from_cache);
 }
 
 auto fields(of<flow_result> auto& r, auto&& f) {

@@ -91,7 +91,7 @@ public:
   /// Counters accumulated across every pass run on this engine.  With a
   /// long-lived (pooled) engine these are lifetime totals; per-call work
   /// is the delta (opt_counters::delta_since), which is what optimize() and
-  /// the flow stages report.
+  /// the flow's optimize stage report.
   [[nodiscard]] const opt_counters& counters() const { return counters_; }
 
   /// Randomized sim-equivalence check between `before` and `after` on the

@@ -82,8 +82,8 @@ struct opt_counters {
 
   /// This record minus `before` for the monotonic work counters; the peak
   /// footprint fields (cut_arena_bytes, net_arena_bytes) keep their current
-  /// high-water value.  The one delta rule shared by optimize(), the flow
-  /// pass stage, and the partition merge.
+  /// high-water value.  The one delta rule shared by optimize() and the
+  /// partition merge.
   [[nodiscard]] opt_counters delta_since(const opt_counters& before) const;
 };
 

@@ -176,8 +176,8 @@ void write_frame_fd(int fd, msg_type type,
 // ---------------------------------------------------------------------------
 // Payload codecs: each struct's field list, in wire order, walked by
 // write_field/read_field (util/serialize.hpp).  The lists for the flow types
-// a payload nests (mapping_params, stage_counters, stage_timing) live in
-// flow/result_io.hpp.
+// a payload is or nests (mapping_params, stage_counters, stage_timing, and
+// stage_event, the progress payload) live in flow/result_io.hpp.
 // ---------------------------------------------------------------------------
 
 auto fields(of<synth_request> auto& q, auto&& f) {
@@ -197,10 +197,6 @@ auto fields(of<synth_request> auto& q, auto&& f) {
 /// Follows the length-prefixed `base`, which the delta codec nests by hand.
 auto fields(of<synth_delta_request> auto& d, auto&& f) {
   return f(d.base_content_hash, d.edit_text, d.supersede_base, d.force_full);
-}
-
-auto fields(of<progress_event> auto& e, auto&& f) {
-  return f(e.stage, e.index, e.total, e.ms, e.counters, e.from_cache);
 }
 
 auto fields(of<synth_response> auto& s, auto&& f) {

@@ -275,15 +275,8 @@ struct synth_delta_request {
   bool force_full = false;
 };
 
-/// One per-stage progress notification (flow::stage_event on the wire).
-struct progress_event {
-  std::string stage;
-  std::uint32_t index = 0;
-  std::uint32_t total = 0;
-  double ms = 0.0;
-  flow::stage_counters counters;
-  bool from_cache = false;
-};
+/// One per-stage progress notification: the flow's own event, on the wire.
+using progress_event = flow::stage_event;
 
 /// Everything a submit yields.  `report` and `validate_report` are the
 /// deterministic parts of the xsfq_synth output (byte-identical between a

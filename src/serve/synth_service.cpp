@@ -68,11 +68,6 @@ aig load_request_circuit(const synth_request& req) {
   }
 }
 
-namespace {
-
-/// The request's synthesis knobs as flow options — one translation, shared
-/// by the submit path, the delta path, and the delta path's cache
-/// supersession (drop_entry must key exactly what run_cached stored).
 flow::flow_options options_for(const synth_request& req) {
   flow::flow_options options;
   options.map = req.map;
@@ -87,6 +82,8 @@ flow::flow_options options_for(const synth_request& req) {
   options.opt.partition_grain = req.partition_grain;
   return options;
 }
+
+namespace {
 
 /// The shared back half of run_synth and run_synth_delta: synthesizes an
 /// already-materialized network under the request's options and renders the
@@ -108,16 +105,11 @@ synth_response run_synth_on(
 
     bool any_live_stage = false;
     bool any_stage = false;
-    const flow::stage_observer observer =
-        [&](const flow::stage_event& ev) {
-          any_stage = true;
-          if (!ev.from_cache) any_live_stage = true;
-          if (progress) {
-            progress({ev.stage, static_cast<std::uint32_t>(ev.index),
-                      static_cast<std::uint32_t>(ev.total), ev.ms,
-                      ev.counters, ev.from_cache});
-          }
-        };
+    const flow::stage_observer observer = [&](const progress_event& ev) {
+      any_stage = true;
+      if (!ev.from_cache) any_live_stage = true;
+      if (progress) progress(ev);
+    };
     // The flow runs on the calling thread — the daemon's connection handler
     // — with no pool handoff: admission control already bounds how many
     // handlers synthesize at once, and a warm hit renders straight out of
@@ -138,10 +130,15 @@ synth_response run_synth_on(
     report << "mapped:    " << summary_line(r.mapped.stats) << "\n";
     report << "baseline:  clocked RSFQ " << r.baseline.jj_without_clock
            << " JJ (" << r.baseline.jj_with_clock
-           << " with clock tree) -> savings "
-           << static_cast<double>(r.baseline.jj_without_clock) /
-                  static_cast<double>(r.mapped.stats.jj)
-           << "x\n";
+           << " with clock tree) -> savings ";
+    // A circuit of wires and inverters maps to 0 JJ (rail swaps are free).
+    if (r.mapped.stats.jj == 0) {
+      report << "n/a\n";
+    } else {
+      report << static_cast<double>(r.baseline.jj_without_clock) /
+                    static_cast<double>(r.mapped.stats.jj)
+             << "x\n";
+    }
     resp.report = report.str();
     resp.timings = r.timings;
     resp.total_ms = r.total_ms;

@@ -33,6 +33,12 @@ synth_request make_request_for_spec(const std::string& spec);
 /// Throws on unknown benchmarks or parse errors.
 aig load_request_circuit(const synth_request& req);
 
+/// The request's synthesis knobs as flow options — the one translation,
+/// shared by the submit path, the delta path, its cache supersession
+/// (drop_entry must key exactly what run_cached stored) and xsfq_synth's
+/// corpus entries.
+flow::flow_options options_for(const synth_request& req);
+
 /// Runs one request on the calling thread with all cache tiers applied and
 /// renders the full response, including the deterministic report text and
 /// any requested Verilog/DOT payloads.  `progress` (optional) receives one

@@ -1,7 +1,7 @@
 /// Tests for incremental ECO resynthesis: the edit-script grammar and its
 /// position-stable replay (aig/edit.hpp), byte-identity of the incremental
 /// service path against full resynthesis across the ISCAS85 circuits, the
-/// batch_runner ECO surface (retained-network tier, patch/drop cache
+/// batch_runner ECO surface (retained-network tier, dropped cache
 /// entries, region counters), the v4 protocol payloads, and the synth_delta
 /// request end to end against an in-process daemon, including the typed
 /// unknown_base / bad_edit rejections.
@@ -420,33 +420,6 @@ TEST(EcoRunner, RetainedNetworkTierIsAByteBudgetedLru) {
   runner.set_retained_bytes(1);
   EXPECT_EQ(runner.cache_stats().retained_networks, 1u);
   EXPECT_NE(runner.retained_network(hashes[3]), nullptr);
-}
-
-TEST(EcoRunner, PatchEntryInstallsServableResult) {
-  temp_dir dir;
-  flow::batch_runner runner(1);
-  runner.set_disk_cache(dir.path + "/cache");
-
-  const aig net = benchgen::make_benchmark("c432");
-  flow::flow_options options;
-  const flow::flow_result computed =
-      runner.run_uncached(net, "c432", options, {});
-  EXPECT_EQ(runner.cache_stats().full_hits, 0u);
-
-  runner.patch_entry(net.content_hash(), net.num_gates(), "c432", options,
-                     computed);
-  EXPECT_EQ(runner.cache_stats().eco_patches, 1u);
-
-  // The patched entry serves the next request from memory...
-  const flow::flow_result served = runner.run_cached(net, "c432", options);
-  EXPECT_EQ(runner.cache_stats().full_hits, 1u);
-  EXPECT_EQ(served.mapped.netlist.summary(), computed.mapped.netlist.summary());
-
-  // ...and was persisted: a fresh runner on the same directory disk-hits.
-  flow::batch_runner restarted(1);
-  restarted.set_disk_cache(dir.path + "/cache");
-  restarted.run_cached(net, "c432", options);
-  EXPECT_EQ(restarted.cache_stats().disk_hits, 1u);
 }
 
 TEST(EcoRunner, DropEntryRemovesMemoryAndDiskTiers) {

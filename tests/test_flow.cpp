@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "benchgen/registry.hpp"
 #include "flow/batch_runner.hpp"
 
 namespace xsfq {
@@ -24,30 +25,6 @@ aig tiny_adder() {
   g.create_po(g.create_xor(g.create_xor(a, b), c), "s");
   g.create_po(g.create_maj(a, b, c), "cout");
   return g;
-}
-
-TEST(Flow, StagesRunInOrderOverSharedContext) {
-  std::vector<std::string> order;
-  flow::flow f("test");
-  f.add_stage("first", [&](flow::flow_context& ctx) {
-     order.push_back("first");
-     ctx.name = "tiny";
-     ctx.network = tiny_adder();
-   }).add_stage("second", [&](flow::flow_context& ctx) {
-    order.push_back("second");
-    EXPECT_EQ(ctx.name, "tiny");  // sees the first stage's writes
-    EXPECT_GT(ctx.network.num_gates(), 0u);
-  });
-  EXPECT_EQ(f.num_stages(), 2u);
-
-  const auto r = f.run();
-  EXPECT_EQ(order, (std::vector<std::string>{"first", "second"}));
-  EXPECT_EQ(r.name, "tiny");
-  ASSERT_EQ(r.timings.size(), 2u);
-  EXPECT_EQ(r.timings[0].stage, "first");
-  EXPECT_EQ(r.timings[1].stage, "second");
-  EXPECT_GE(r.total_ms, 0.0);
-  EXPECT_EQ(r.stage_ms("nonexistent"), 0.0);
 }
 
 TEST(Flow, SynthesisFlowCollectsAllStats) {
@@ -72,8 +49,9 @@ TEST(Flow, OptionsSkipStages) {
   options.run_optimize = false;
   options.run_baseline = false;
   const auto r = flow::run_flow(tiny_adder(), "tiny", options);
-  ASSERT_EQ(r.timings.size(), 1u);
-  EXPECT_EQ(r.timings[0].stage, "map");
+  ASSERT_EQ(r.timings.size(), 2u);
+  EXPECT_EQ(r.timings[0].stage, "generate");
+  EXPECT_EQ(r.timings[1].stage, "map");
   EXPECT_EQ(r.baseline.jj_without_clock, 0u);
 }
 
@@ -82,29 +60,86 @@ TEST(Flow, EmitVerilogStageProducesModule) {
   options.emit_verilog = true;
   const auto r = flow::run_flow(tiny_adder(), "tiny", options);
   EXPECT_NE(r.verilog.find("module"), std::string::npos);
-  EXPECT_GT(r.stage_ms("emit"), 0.0);
+  ASSERT_EQ(r.timings.size(), 5u);
+  EXPECT_EQ(r.timings.back().stage, "emit");
+  EXPECT_GT(r.timings.back().ms, 0.0);
 }
 
-TEST(Flow, EmitWithoutMapThrows) {
-  flow::flow f;
-  f.add_stage(flow::stages::preset(tiny_adder(), "tiny"));
-  f.add_stage(flow::stages::emit_verilog());
-  EXPECT_THROW(f.run(), std::logic_error);
+TEST(Flow, ObserverSeesEveryStageAsItFinishes) {
+  flow::flow_options options;
+  options.emit_verilog = true;
+  std::vector<flow::stage_event> events;
+  const flow::stage_observer observer = [&](const flow::stage_event& ev) {
+    EXPECT_EQ(ev.index, events.size());  // one call per stage, in order
+    events.push_back(ev);
+  };
+  const auto r = flow::run_flow(tiny_adder(), "tiny", options, observer);
+
+  const std::vector<std::string> expected{"generate", "optimize", "map",
+                                          "baseline", "emit"};
+  ASSERT_EQ(events.size(), expected.size());
+  ASSERT_EQ(r.timings.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(events[i].stage, expected[i]);
+    EXPECT_EQ(events[i].total, expected.size());
+    EXPECT_FALSE(events[i].from_cache);
+    // The event carries exactly what the result records for the stage.
+    EXPECT_EQ(events[i].stage, r.timings[i].stage);
+    EXPECT_EQ(events[i].ms, r.timings[i].ms);
+    EXPECT_EQ(events[i].counters.nodes, r.timings[i].counters.nodes);
+    EXPECT_EQ(events[i].counters.cuts, r.timings[i].counters.cuts);
+  }
+  EXPECT_EQ(events.back().counters.nodes, r.optimized.num_gates());
 }
 
-TEST(Flow, NamedPassStage) {
-  flow::flow f;
-  f.add_stage(flow::stages::preset(tiny_adder(), "tiny"));
-  f.add_stage(flow::stages::pass("b"));
-  const auto r = f.run();
-  EXPECT_GT(r.optimized.num_gates(), 0u);
-  ASSERT_EQ(r.timings.size(), 2u);
-  EXPECT_EQ(r.timings[1].stage, "b");
+TEST(Flow, ObserverExceptionStopsTheFlow) {
+  std::vector<std::string> seen;
+  const flow::stage_observer observer = [&](const flow::stage_event& ev) {
+    seen.push_back(ev.stage);
+    if (ev.stage == "map") throw std::runtime_error("observer failed");
+  };
+  EXPECT_THROW(flow::run_flow(tiny_adder(), "tiny", {}, observer),
+               std::runtime_error);
+  // The baseline stage after the failing notification never ran.
+  EXPECT_EQ(seen, (std::vector<std::string>{"generate", "optimize", "map"}));
+}
+
+TEST(Flow, OptimizeHookStandsInForOptimizeStage) {
+  const aig g = benchgen::make_benchmark("c432");
+  const flow::flow_options options;
+  int calls = 0;
+  const flow::optimize_fn hook = [&](aig& network) {
+    ++calls;
+    optimize_stats stats;
+    network = optimize(network, options.opt, &stats);
+    return stats;
+  };
+  const auto hooked = flow::run_flow(g, "c432", options, {}, hook);
+  const auto plain = flow::run_flow(g, "c432", options);
+  EXPECT_EQ(calls, 1);
+
+  // The hook's network and stats are what the later stages and the result
+  // see, under the usual stage name.
+  EXPECT_EQ(hooked.optimized.num_gates(), plain.optimized.num_gates());
+  EXPECT_EQ(hooked.mapped.netlist.summary(), plain.mapped.netlist.summary());
+  EXPECT_EQ(hooked.baseline.jj_without_clock, plain.baseline.jj_without_clock);
+  ASSERT_EQ(hooked.timings.size(), plain.timings.size());
+  EXPECT_EQ(hooked.timings[1].stage, "optimize");
+  EXPECT_EQ(hooked.timings[1].counters.replacements,
+            plain.timings[1].counters.replacements);
+  EXPECT_EQ(hooked.timings[1].counters.nodes, plain.optimized.num_gates());
+
+  // With the optimize stage off the hook is never asked.
+  flow::flow_options raw = options;
+  raw.run_optimize = false;
+  const auto unoptimized = flow::run_flow(g, "c432", raw, {}, hook);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(unoptimized.optimized.num_gates(), g.num_gates());
 }
 
 TEST(Flow, MatchesManualSequence) {
-  // The pass manager must produce exactly what the hand-rolled sequence
-  // produced before this subsystem existed.
+  // run_flow must produce exactly what the hand-rolled sequence produced
+  // before this subsystem existed.
   const aig g = benchgen::make_benchmark("c432");
   const aig opt = optimize(g);
   const auto mapped = map_to_xsfq(opt);
@@ -182,7 +217,7 @@ TEST(BatchRunner, FailedFlowIsIsolated) {
   EXPECT_FALSE(report.entries[1].error.empty());
   EXPECT_TRUE(report.entries[2].ok);
   EXPECT_EQ(report.num_failed(), 1u);
-  EXPECT_EQ(report.ok_results().size(), 2u);
+  EXPECT_EQ(report.num_ok(), 2u);
   // summarize only counts the successful circuits.
   EXPECT_EQ(flow::summarize(report).circuits, 2u);
 }
@@ -199,12 +234,12 @@ TEST(BatchRunner, PoolIsReusableAcrossBatches) {
 TEST(BatchRunner, CustomFlowFactory) {
   flow::batch_runner runner(2);
   const std::vector<std::string> names{"dec", "int2float"};
+  flow::flow_options raw;  // raw mapping: no optimize, no baseline
+  raw.run_optimize = false;
+  raw.run_baseline = false;
   std::vector<std::function<flow::flow_result()>> jobs;
   for (const auto& name : names) {
-    flow::flow f(name);
-    f.add_stage(flow::stages::benchmark(name));
-    f.add_stage(flow::stages::map());  // raw mapping, no optimize
-    jobs.push_back([f = std::move(f)] { return f.run(); });
+    jobs.push_back([name, raw] { return flow::run_flow(name, raw); });
   }
   const auto report = runner.run_jobs(names, std::move(jobs));
   ASSERT_EQ(report.num_ok(), 2u);

@@ -28,7 +28,10 @@
 #include <sstream>
 #include <thread>
 
+#include "benchgen/registry.hpp"
 #include "codec_sweep.hpp"
+#include "netlist/bench_io.hpp"
+#include "netlist/netlist.hpp"
 #include "serve/client.hpp"
 #include "serve/synth_service.hpp"
 
@@ -527,6 +530,51 @@ TEST(ServeProtocol, ClientFlagRejectsDeadlineBeyondOneDay) {
   }
 }
 
+/// The whole content of a file; empty when it cannot be read.
+std::string file_text(const std::string& path) {
+  std::ifstream is(path);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+/// The unsigned integer that follows the first `marker` in `text`.
+std::uint64_t number_after(const std::string& text, const std::string& marker) {
+  const std::size_t at = text.find(marker);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(text.c_str() + at + marker.size(), nullptr, 10);
+}
+
+TEST(SynthCli, CorpusEntryMatchesASingleRunUnderTheSameGrain) {
+  // A corpus entry is the request a single run of that file makes, so a
+  // grain set on the command line applies to both (c880 maps to fewer JJ
+  // without one).
+  const std::string synth = std::string(XSFQ_BINARY_DIR) + "/xsfq_synth";
+  if (!fs::exists(synth)) GTEST_SKIP() << "examples not built: " << synth;
+  temp_dir dir;
+  fs::create_directory(dir.path + "/corpus");
+  const std::string file = dir.path + "/corpus/c880.bench";
+  write_bench_file(netlist_from_aig(benchgen::make_benchmark("c880"), "c880"),
+                   file);
+  const std::string grain = " --partition-grain=64 --no-timing";
+  ASSERT_EQ(std::system((synth + " " + file + grain + " > " + dir.path +
+                         "/single.txt 2>&1")
+                            .c_str()),
+            0);
+  ASSERT_EQ(std::system((synth + " --corpus=" + dir.path + "/corpus" + grain +
+                         " > " + dir.path + "/corpus.csv 2>&1")
+                            .c_str()),
+            0);
+  const std::string single = file_text(dir.path + "/single.txt");
+  const std::string csv = file_text(dir.path + "/corpus.csv");
+  // corpus.csv: circuit,gates,jj,savings,ms
+  const std::uint64_t gates = number_after(csv, file + ",");
+  const std::uint64_t jj = number_after(
+      csv, file + "," + std::to_string(gates) + ",");
+  ASSERT_GT(gates, 0u) << csv;
+  // single.txt: "optimized: <in> -> <gates> nodes ...", "... JJ <jj> (..."
+  EXPECT_EQ(gates, number_after(single, " -> ")) << single << csv;
+  EXPECT_EQ(jj, number_after(single, ", JJ ")) << single << csv;
+}
+
 TEST(ServeProtocol, ServerStatsEveryFieldEncodesMergesAndRenders) {
   const server_stats_reply one = every_field_stats(1);
 
@@ -862,6 +910,79 @@ TEST(ServeEndToEnd, ProgressEventsStreamPerStage) {
   ASSERT_EQ(events.size(), 4u);
   for (const auto& ev : events) EXPECT_TRUE(ev.from_cache);
   EXPECT_EQ(warm.report, resp.report);
+}
+
+TEST(ServeEndToEnd, EveryFlowPathRunsTheSameStages) {
+  // One flow function behind every entry point: the stage list a result
+  // carries, and the position and total each progress event names, do not
+  // depend on the path that reached it.
+  const std::vector<std::string> expected{"generate", "optimize", "map",
+                                          "baseline"};
+  std::vector<progress_event> events;
+  const flow::stage_observer observe = [&](const progress_event& ev) {
+    events.push_back(ev);
+  };
+  const auto check = [&](const std::vector<flow::stage_timing>& timings,
+                         const std::string& path, bool observed) {
+    std::vector<std::string> stages;
+    for (const auto& t : timings) stages.push_back(t.stage);
+    EXPECT_EQ(stages, expected) << path;
+    EXPECT_EQ(events.size(), observed ? expected.size() : 0u) << path;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].stage, expected[i]) << path;
+      EXPECT_EQ(events[i].index, i) << path;
+      EXPECT_EQ(events[i].total, expected.size()) << path;
+    }
+    events.clear();
+  };
+  const aig net = benchgen::make_benchmark("c432");
+
+  check(flow::run_flow("c432").timings, "run_flow(name)", false);
+  check(flow::run_flow(net, "c432", {}, observe).timings, "run_flow(aig)",
+        true);
+  flow::batch_runner batch(1);
+  check(batch.run({"c432"}).entries.at(0).result.timings, "batch entry",
+        false);
+  flow::batch_runner runner(1);
+  check(runner.run_cached(net, "c432", {}, observe).timings, "run_cached",
+        true);
+  check(runner.run_cached(net, "c432", {}, observe).timings,
+        "run_cached hit", true);
+  EXPECT_EQ(runner.cache_stats().full_hits, 1u);
+  check(runner.run_uncached(net, "c432", {}, observe).timings,
+        "run_uncached", true);
+
+  server_fixture fx;
+  fx.start();
+  client cli(fx.socket_path());
+  synth_request req = make_request_for_spec("c432");
+  req.stream_progress = true;
+  const synth_response resp = cli.submit(req, observe);
+  ASSERT_TRUE(resp.ok) << resp.error;
+  check(resp.timings, "served", true);
+}
+
+TEST(ServeEndToEnd, ZeroJjCircuitsReportDefinedSavings) {
+  // Wires and inverters map to 0 JJ (a rail swap is free), so the savings
+  // ratio has no value; the report says so instead of printing nan or inf.
+  flow::batch_runner runner(1);
+  const auto baseline_line = [&](const std::string& text) {
+    synth_request req;
+    req.spec = "zero.bench";
+    req.source = circuit_source::bench_text;
+    req.model = "zero";
+    req.source_text = text;
+    const synth_response resp = run_synth(req, runner);
+    EXPECT_TRUE(resp.ok) << resp.error;
+    const std::size_t at = resp.report.find("baseline:");
+    return at == std::string::npos ? resp.report : resp.report.substr(at);
+  };
+  EXPECT_EQ(baseline_line("INPUT(a)\nOUTPUT(a)\n"),
+            "baseline:  clocked RSFQ 0 JJ (0 with clock tree) -> savings "
+            "n/a\n");
+  EXPECT_EQ(baseline_line("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"),
+            "baseline:  clocked RSFQ 9 JJ (12 with clock tree) -> savings "
+            "n/a\n");
 }
 
 TEST(ServeEndToEnd, DiskCacheSurvivesDaemonRestart) {
