@@ -135,7 +135,7 @@ int run_corpus(const cli_options& cli) {
                     static_cast<double>(r.mapped.stats.jj)
               : 0.0;
       std::cout << r.name << "," << r.optimized.num_gates() << ","
-                << r.mapped.stats.jj << "," << savings << "," << r.total_ms
+                << r.mapped.stats.jj << "," << savings << "," << e.wall_ms
                 << "\n";
       ++completed;
     } else if (e.error.rfind("skipped:", 0) == 0) {

@@ -11,16 +11,6 @@ std::string default_name(const char* prefix, std::size_t index) {
   s += std::to_string(index);
   return s;
 }
-
-std::uint64_t mix_strash_hash(std::uint64_t key) {
-  // splitmix64 finalizer: cheap and well distributed for packed fanin pairs.
-  key ^= key >> 30;
-  key *= 0xBF58476D1CE4E5B9ull;
-  key ^= key >> 27;
-  key *= 0x94D049BB133111EBull;
-  key ^= key >> 31;
-  return key;
-}
 }  // namespace
 
 aig::aig() {
@@ -43,20 +33,6 @@ void aig::reset() {
 }
 
 // ----- structural hash -------------------------------------------------------
-
-std::size_t aig::strash_slot(std::uint64_t key) const {
-  return mix_strash_hash(key) & (strash_keys_.size() - 1);
-}
-
-std::optional<aig::node_index> aig::strash_find(std::uint64_t key) const {
-  if (strash_keys_.empty()) return std::nullopt;
-  std::size_t slot = strash_slot(key);
-  while (strash_keys_[slot] != 0) {
-    if (strash_keys_[slot] == key) return strash_values_[slot];
-    slot = (slot + 1) & (strash_keys_.size() - 1);
-  }
-  return std::nullopt;
-}
 
 void aig::strash_grow(std::size_t new_capacity) {
   std::vector<std::uint64_t> old_keys = std::move(strash_keys_);
@@ -214,22 +190,6 @@ void aig::rebuild_strash() {
     const std::uint64_t key = strash_key(nodes_[n].fanin0, nodes_[n].fanin1);
     if (!strash_find(key)) strash_insert(key, n);
   }
-}
-
-std::optional<signal> aig::find_and(signal a, signal b) const {
-  // Mirror create_and's trivial cases so probing matches construction.
-  if (a == b) return a;
-  if (a == !b) return get_constant(false);
-  if (a == get_constant(false) || b == get_constant(false)) {
-    return get_constant(false);
-  }
-  if (a == get_constant(true)) return b;
-  if (b == get_constant(true)) return a;
-  if (b.raw() < a.raw()) std::swap(a, b);
-  if (const auto hit = strash_find(strash_key(a, b))) {
-    return signal(*hit, false);
-  }
-  return std::nullopt;
 }
 
 signal aig::create_xor(signal a, signal b) {

@@ -30,6 +30,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace xsfq {
@@ -126,7 +127,22 @@ public:
   signal create_and(signal a, signal b);
   /// Non-mutating strash probe: the signal create_and(a, b) would return if
   /// it would not allocate a new node, or nullopt if a node would be created.
-  [[nodiscard]] std::optional<signal> find_and(signal a, signal b) const;
+  /// Inline: the rewrite/refactor probe calls it once per candidate step.
+  [[nodiscard]] std::optional<signal> find_and(signal a, signal b) const {
+    // Mirror create_and's trivial cases so probing matches construction.
+    if (a == b) return a;
+    if (a == !b) return get_constant(false);
+    if (a == get_constant(false) || b == get_constant(false)) {
+      return get_constant(false);
+    }
+    if (a == get_constant(true)) return b;
+    if (b == get_constant(true)) return a;
+    if (b.raw() < a.raw()) std::swap(a, b);
+    if (const auto hit = strash_find(strash_key(a, b))) {
+      return signal(*hit, false);
+    }
+    return std::nullopt;
+  }
 
   // ----- in-place editing (ECO replay; see aig/edit.hpp) --------------------
   //
@@ -317,9 +333,26 @@ private:
   // probing, no erase, grown at 70% load.  Keys are the packed fanin pair;
   // 0 marks an empty slot (legal because constant fanins are simplified away
   // before hashing, so a stored key's high half is always >= 2).
-  [[nodiscard]] std::size_t strash_slot(std::uint64_t key) const;
+  [[nodiscard]] std::size_t strash_slot(std::uint64_t key) const {
+    // splitmix64 finalizer: cheap and well distributed for packed fanin
+    // pairs.
+    key ^= key >> 30;
+    key *= 0xBF58476D1CE4E5B9ull;
+    key ^= key >> 27;
+    key *= 0x94D049BB133111EBull;
+    key ^= key >> 31;
+    return key & (strash_keys_.size() - 1);
+  }
   void strash_insert(std::uint64_t key, node_index value);
-  [[nodiscard]] std::optional<node_index> strash_find(std::uint64_t key) const;
+  [[nodiscard]] std::optional<node_index> strash_find(std::uint64_t key) const {
+    if (strash_keys_.empty()) return std::nullopt;
+    std::size_t slot = strash_slot(key);
+    while (strash_keys_[slot] != 0) {
+      if (strash_keys_[slot] == key) return strash_values_[slot];
+      slot = (slot + 1) & (strash_keys_.size() - 1);
+    }
+    return std::nullopt;
+  }
   void strash_grow(std::size_t new_capacity);
 
   std::vector<node> nodes_;

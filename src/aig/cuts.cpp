@@ -1,6 +1,8 @@
 #include "aig/cuts.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace xsfq {
@@ -15,198 +17,161 @@ inline unsigned popcount64(std::uint64_t x) {
   return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
 }
 
-/// Merges two sorted leaf sets; returns false if the union exceeds `k`.
-bool merge_leaves(std::span<const aig::node_index> a,
-                  std::span<const aig::node_index> b, unsigned k,
-                  std::vector<aig::node_index>& out) {
-  out.clear();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (out.size() > k) return false;
-    if (j == b.size() || (i < a.size() && a[i] < b[j])) {
-      out.push_back(a[i++]);
-    } else if (i == a.size() || b[j] < a[i]) {
-      out.push_back(b[j++]);
+/// Merges the sorted leaf sets of `a` and `b` into `out`, recording where
+/// each input leaf lands (pa, pb: strictly increasing, as
+/// truth_table::expand_word requires); returns false if the union exceeds
+/// `k` leaves.
+bool merge_leaves(const cut& a, const cut& b, unsigned k, cut& out,
+                  unsigned* pa, unsigned* pb) {
+  unsigned i = 0;
+  unsigned j = 0;
+  unsigned n = 0;
+  while (i < a.num_leaves || j < b.num_leaves) {
+    if (n == k) return false;
+    if (j == b.num_leaves || (i < a.num_leaves && a.leaf[i] < b.leaf[j])) {
+      out.leaf[n] = a.leaf[i];
+      pa[i++] = n;
+    } else if (i == a.num_leaves || b.leaf[j] < a.leaf[i]) {
+      out.leaf[n] = b.leaf[j];
+      pb[j++] = n;
     } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
+      out.leaf[n] = a.leaf[i];
+      pa[i++] = n;
+      pb[j++] = n;
     }
+    ++n;
   }
-  return out.size() <= k;
+  out.num_leaves = n;
+  return true;
 }
 
-/// Subset test with the bloom-filter fast reject (a <= b on sorted sets).
-bool leaves_dominate(std::span<const aig::node_index> a, std::uint64_t sig_a,
-                     std::span<const aig::node_index> b, std::uint64_t sig_b) {
-  if (a.size() > b.size()) return false;
-  if ((sig_a & ~sig_b) != 0) return false;
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+/// Clears the bits above 2^vars of a single-word table.
+constexpr std::uint64_t tail_mask(unsigned vars) {
+  return vars >= truth_table::small_vars
+             ? ~std::uint64_t{0}
+             : (std::uint64_t{1} << (std::uint64_t{1} << vars)) - 1;
 }
 
-/// Positions of `sub` within its superset `super` (both sorted, unique).
-/// The result is strictly increasing, as truth_table::expanded requires.
-void positions_in(std::span<const aig::node_index> sub,
-                  std::span<const aig::node_index> super,
-                  std::vector<unsigned>& out) {
-  out.clear();
-  std::size_t j = 0;
-  for (const auto leaf : sub) {
-    while (super[j] != leaf) ++j;
-    out.push_back(static_cast<unsigned>(j));
-  }
+cut trivial_cut(aig::node_index n) {
+  cut c;
+  c.truth = tail_mask(1) & truth_table::var_masks[0];
+  c.sig = std::uint64_t{1} << (n & 63u);
+  c.leaf[0] = n;
+  c.num_leaves = 1;
+  return c;
 }
 
 }  // namespace
 
-std::span<const aig::node_index> cut_view::leaves() const {
-  const auto& e = set_->entries_[index_];
-  return {set_->leaf_pool_.data() + e.leaf_begin, e.num_leaves};
-}
-
-const truth_table& cut_view::function() const {
-  return set_->entries_[index_].function;
-}
-
-std::uint64_t cut_view::signature() const {
-  return set_->entries_[index_].signature;
-}
-
-unsigned cut_view::size() const { return set_->entries_[index_].num_leaves; }
-
-bool cut_view::dominates(const cut_view& other) const {
-  return leaves_dominate(leaves(), signature(), other.leaves(),
-                         other.signature());
+bool cut::dominates(const cut& other) const {
+  // Subset test with the bloom-filter fast reject (this <= other).
+  if (num_leaves > other.num_leaves) return false;
+  if ((sig & ~other.sig) != 0) return false;
+  const auto mine = leaves();
+  const auto theirs = other.leaves();
+  return std::includes(theirs.begin(), theirs.end(), mine.begin(), mine.end());
 }
 
 const cut_set& cut_engine::enumerate(const aig& network,
                                      const cut_params& params) {
-  set_.spans_.assign(network.size(), {0, 0});
-  set_.entries_.clear();
-  set_.leaf_pool_.clear();
+  if (params.cut_size > cut::max_leaves) {
+    throw std::invalid_argument(
+        "cut_engine::enumerate: cut_size " + std::to_string(params.cut_size) +
+        " exceeds the " + std::to_string(cut::max_leaves) + "-leaf cut record");
+  }
+  std::vector<cut>& cuts = set_.cuts_;
+  std::vector<std::uint32_t>& first = set_.first_;
+  cuts.clear();
+  first.assign(network.size() + 1, 0);
   counters_ = {};
-
-  auto commit_trivial = [&](aig::node_index n) {
-    cut_set::entry e;
-    e.leaf_begin = static_cast<std::uint32_t>(set_.leaf_pool_.size());
-    e.num_leaves = 1;
-    set_.leaf_pool_.push_back(n);
-    e.signature = std::uint64_t{1} << (n & 63u);
-    e.function = truth_table::nth_var(1, 0);
-    set_.entries_.push_back(std::move(e));
-  };
-
-  auto scratch_leaves_of = [&](const cut_set::entry& e) {
-    return std::span<const aig::node_index>(
-        scratch_leaves_.data() + e.leaf_begin, e.num_leaves);
-  };
+  const unsigned k = params.cut_size;
 
   network.foreach_node([&](aig::node_index n) {
-    const auto first = static_cast<std::uint32_t>(set_.entries_.size());
+    const auto base = static_cast<std::uint32_t>(cuts.size());
+    first[n] = base;
     if (network.is_constant(n)) {
-      // The constant node gets a single empty cut with a constant function.
-      cut_set::entry e;
-      e.function = truth_table::zeros(0);
-      set_.entries_.push_back(std::move(e));
-      set_.spans_[n] = {first, 1};
+      cuts.emplace_back();  // one empty cut with the constant-0 function
       return;
     }
     if (network.is_ci(n)) {
-      commit_trivial(n);
-      set_.spans_[n] = {first, 1};
+      cuts.push_back(trivial_cut(n));
       return;
     }
 
     const signal f0 = network.fanin0(n);
     const signal f1 = network.fanin1(n);
-    scratch_entries_.clear();
-    scratch_leaves_.clear();
+    const std::uint32_t b0 = first[f0.index()];
+    const std::uint32_t n0 = first[f0.index() + 1] - b0;
+    const std::uint32_t b1 = first[f1.index()];
+    const std::uint32_t n1 = first[f1.index() + 1] - b1;
 
-    for (const cut_view c0 : set_[f0.index()]) {
-      const std::uint64_t sig0 = c0.signature();
-      for (const cut_view c1 : set_[f1.index()]) {
+    // Node n's candidates are merged straight into the arena's tail.  Room
+    // for all of them (at most min(cut_limit, n0 * n1), at least one, plus
+    // the trivial cut) is reserved first, so the fanin cuts read below never
+    // move while the tail grows.
+    const std::size_t room =
+        std::min<std::size_t>(std::max(params.cut_limit, 1u),
+                              std::size_t{n0} * n1) + 1;
+    if (cuts.capacity() - cuts.size() < room) {
+      cuts.reserve(std::max(cuts.capacity() * 2, cuts.size() + room));
+    }
+    const cut* c0s = cuts.data() + b0;
+    const cut* c1s = cuts.data() + b1;
+
+    cut merged;
+    unsigned pos0[cut::max_leaves];
+    unsigned pos1[cut::max_leaves];
+    for (std::uint32_t i = 0; i < n0; ++i) {
+      const cut& c0 = c0s[i];
+      for (std::uint32_t j = 0; j < n1; ++j) {
+        const cut& c1 = c1s[j];
         ++counters_.candidates;
         // The merged cut's bloom signature is exactly the union of the fanin
         // signatures (one bit per leaf, duplicates collapse), so a popcount
         // above k proves the union is too large before any merging work —
         // the dominant reject in the k=4 rewrite enumeration.
-        const std::uint64_t signature = sig0 | c1.signature();
-        if (popcount64(signature) > params.cut_size) {
-          continue;
-        }
-        if (!merge_leaves(c0.leaves(), c1.leaves(), params.cut_size,
-                          merged_)) {
-          continue;
-        }
+        merged.sig = c0.sig | c1.sig;
+        if (popcount64(merged.sig) > k) continue;
+        if (!merge_leaves(c0, c1, k, merged, pos0, pos1)) continue;
 
-        // Skip if dominated by an existing cut (or dominating: replace).
+        // Skip if dominated by an existing cut (or dominating: replace), in
+        // one pass.  No stored cut dominates another, so when one dominates
+        // the candidate, the candidate dominates none before it and nothing
+        // has been compacted yet.
         bool dominated = false;
-        for (const auto& existing : scratch_entries_) {
-          if (leaves_dominate(scratch_leaves_of(existing), existing.signature,
-                              merged_, signature)) {
+        std::size_t kept = base;
+        for (std::size_t e = base; e < cuts.size(); ++e) {
+          if (cuts[e].dominates(merged)) {
             dominated = true;
             break;
           }
+          if (!merged.dominates(cuts[e])) cuts[kept++] = cuts[e];
         }
         if (dominated) {
           ++counters_.dominated;
           continue;
         }
-        std::erase_if(scratch_entries_, [&](const cut_set::entry& existing) {
-          return leaves_dominate(merged_, signature,
-                                 scratch_leaves_of(existing),
-                                 existing.signature);
-        });
+        cuts.resize(kept);
 
-        cut_set::entry e;
-        e.leaf_begin = static_cast<std::uint32_t>(scratch_leaves_.size());
-        e.num_leaves = static_cast<std::uint32_t>(merged_.size());
-        e.signature = signature;
-        scratch_leaves_.insert(scratch_leaves_.end(), merged_.begin(),
-                               merged_.end());
-
-        const auto k = static_cast<unsigned>(merged_.size());
-        if (k <= truth_table::small_vars) {
-          // Word-parallel merge: expand both fanin functions onto the merged
-          // leaf slots and AND them in registers.
-          positions_in(c0.leaves(), merged_, positions_);
-          std::uint64_t w0 = truth_table::expand_word(
-              c0.function().word0(), c0.size(), positions_.data());
-          if (f0.is_complemented()) w0 = ~w0;
-          positions_in(c1.leaves(), merged_, positions_);
-          std::uint64_t w1 = truth_table::expand_word(
-              c1.function().word0(), c1.size(), positions_.data());
-          if (f1.is_complemented()) w1 = ~w1;
-          e.function = truth_table::from_word(k, w0 & w1);
-        } else {
-          positions_in(c0.leaves(), merged_, positions_);
-          const truth_table t0 = c0.function().expanded(k, positions_);
-          positions_in(c1.leaves(), merged_, positions_);
-          const truth_table t1 = c1.function().expanded(k, positions_);
-          e.function = (f0.is_complemented() ? ~t0 : t0) &
-                       (f1.is_complemented() ? ~t1 : t1);
-        }
-        scratch_entries_.push_back(std::move(e));
-        if (scratch_entries_.size() >= params.cut_limit) break;
+        // Word-parallel merge: expand both fanin functions onto the merged
+        // leaf slots and AND them in registers.
+        std::uint64_t w0 =
+            truth_table::expand_word(c0.truth, c0.num_leaves, pos0);
+        if (f0.is_complemented()) w0 = ~w0;
+        std::uint64_t w1 =
+            truth_table::expand_word(c1.truth, c1.num_leaves, pos1);
+        if (f1.is_complemented()) w1 = ~w1;
+        merged.truth = w0 & w1 & tail_mask(merged.num_leaves);
+        cuts.push_back(merged);
+        if (cuts.size() - base >= params.cut_limit) break;
       }
-      if (scratch_entries_.size() >= params.cut_limit) break;
+      if (cuts.size() - base >= params.cut_limit) break;
     }
-
-    for (auto& e : scratch_entries_) {
-      const auto leaf_begin =
-          static_cast<std::uint32_t>(set_.leaf_pool_.size());
-      const auto sl = scratch_leaves_of(e);
-      set_.leaf_pool_.insert(set_.leaf_pool_.end(), sl.begin(), sl.end());
-      e.leaf_begin = leaf_begin;
-      set_.entries_.push_back(std::move(e));
-    }
-    if (params.include_trivial) commit_trivial(n);
-    set_.spans_[n] = {first,
-                      static_cast<std::uint32_t>(set_.entries_.size()) - first};
+    if (params.include_trivial) cuts.push_back(trivial_cut(n));
   });
+  first[network.size()] = static_cast<std::uint32_t>(cuts.size());
 
-  counters_.stored = set_.entries_.size();
+  counters_.stored = cuts.size();
   return set_;
 }
 
@@ -252,10 +217,16 @@ unsigned mffc_size(const aig& network, aig::node_index root,
 }
 
 void mffc_calculator::attach(const aig& network) {
-  network_ = &network;
-  network.compute_fanout_counts_into(fanout_);
-  remaining_.assign(network.size(), 0);
-  stamp_.assign(network.size(), 0);
+  nodes_.assign(network.size(), node_record{});
+  network.foreach_gate([&](aig::node_index n) {
+    const aig::node_index a = network.fanin0(n).index();
+    const aig::node_index b = network.fanin1(n).index();
+    nodes_[n].fanin[0] = a;
+    nodes_[n].fanin[1] = b;
+    ++nodes_[a].fanout;
+    ++nodes_[b].fanout;
+  });
+  network.foreach_co([&](signal s, std::size_t) { ++nodes_[s.index()].fanout; });
   epoch_ = 0;
 }
 
@@ -263,30 +234,38 @@ unsigned mffc_calculator::size(aig::node_index root,
                                std::span<const aig::node_index> leaves) {
   ++queries_;
   if (++epoch_ == 0) {  // stamp wrap-around: invalidate all stamps
-    stamp_.assign(stamp_.size(), 0);
+    for (node_record& r : nodes_) r.stamp = 0;
     epoch_ = 1;
   }
-  unsigned count = 0;
-
-  auto is_leaf = [&](aig::node_index n) {
-    return std::binary_search(leaves.begin(), leaves.end(), n);
+  // A cut has at most six leaves: a linear scan beats a binary search.
+  const auto is_leaf = [&](aig::node_index n) {
+    for (const aig::node_index leaf : leaves) {
+      if (leaf == n) return true;
+    }
+    return false;
+  };
+  // Non-gates carry no fanins (fanin[0] == null_node).
+  const auto is_gate = [](const node_record& r) {
+    return r.fanin[0] != aig::null_node;
   };
 
+  unsigned count = 0;
   stack_.clear();
   stack_.push_back(root);
   while (!stack_.empty()) {
     const aig::node_index n = stack_.back();
     stack_.pop_back();
-    if (!network_->is_gate(n) || is_leaf(n)) continue;
+    const node_record& r = nodes_[n];
+    if (!is_gate(r) || is_leaf(n)) continue;
     ++count;
-    for (const signal f : {network_->fanin0(n), network_->fanin1(n)}) {
-      const aig::node_index child = f.index();
-      if (!network_->is_gate(child) || is_leaf(child)) continue;
-      if (stamp_[child] != epoch_) {
-        stamp_[child] = epoch_;
-        remaining_[child] = fanout_[child];
+    for (const aig::node_index child : r.fanin) {
+      node_record& c = nodes_[child];
+      if (!is_gate(c) || is_leaf(child)) continue;
+      if (c.stamp != epoch_) {
+        c.stamp = epoch_;
+        c.remaining = c.fanout;
       }
-      if (--remaining_[child] == 0) stack_.push_back(child);
+      if (--c.remaining == 0) stack_.push_back(child);
     }
   }
   return count;

@@ -7,16 +7,19 @@
 /// the cut function.  This module enumerates bounded-size cuts bottom-up and
 /// computes each cut's truth table during the merge, exactly as done in ABC.
 ///
-/// Storage is arena-backed: every node's cuts live as flat spans inside one
-/// shared `cut_set` (one leaf pool, one entry array), and the reusable
-/// `cut_engine` recycles the arena plus all merge/domination scratch between
-/// enumerations, so the steady state of an optimization script allocates
-/// nothing per node or per cut.  Cut functions ride in small-buffer
-/// `truth_table`s (single inline word for <= 6 leaves) and are computed with
-/// the word-parallel expand primitive instead of a bit-by-bit minterm loop.
+/// Storage is flat: each cut is one trivially copyable 48-byte record (up to
+/// six sorted leaves inline, the tail-masked 64-bit truth word, the leaf
+/// signature and the size), and every node's cuts are one contiguous run of
+/// records in a single array.  A node's candidates are merged straight into
+/// the tail of that array, so enumeration copies no cut twice, and the
+/// reusable `cut_engine` recycles the array between enumerations: the steady
+/// state of an optimization script allocates nothing per node or per cut.
+/// Cuts are capped at six leaves, the domain of one truth word; wider
+/// `cut_size` values are rejected.
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,112 +30,61 @@ namespace xsfq {
 
 /// Parameters for cut enumeration.
 struct cut_params {
-  unsigned cut_size = 4;       ///< maximum number of leaves (k)
+  unsigned cut_size = 4;       ///< maximum number of leaves (k), at most 6
   unsigned cut_limit = 10;     ///< maximum cuts stored per node
   bool include_trivial = true; ///< keep the {n} cut at each node
 };
 
-class cut_set;
+/// One cut: a sorted, unique leaf set plus the function of the root in terms
+/// of the leaves (variable i of the table corresponds to leaves()[i]).
+struct cut {
+  static constexpr unsigned max_leaves = truth_table::small_vars;
 
-/// Lightweight handle to one cut stored in a cut_set: a sorted, unique leaf
-/// span plus the function of the root in terms of the leaves (variable i of
-/// the table corresponds to leaves()[i]).
-class cut_view {
-public:
-  [[nodiscard]] std::span<const aig::node_index> leaves() const;
-  [[nodiscard]] const truth_table& function() const;
-  /// Bloom filter over the leaf indices, used to cheapen subset tests.
-  [[nodiscard]] std::uint64_t signature() const;
-  [[nodiscard]] unsigned size() const;
+  std::uint64_t truth = 0;      ///< tail-masked table over size() variables
+  std::uint64_t sig = 0;        ///< bloom filter over the leaf indices
+  aig::node_index leaf[max_leaves] = {};  ///< first num_leaves are valid
+  std::uint32_t num_leaves = 0;
+
+  [[nodiscard]] std::span<const aig::node_index> leaves() const {
+    return {leaf, num_leaves};
+  }
+  [[nodiscard]] unsigned size() const { return num_leaves; }
+  [[nodiscard]] std::uint64_t signature() const { return sig; }
+  [[nodiscard]] truth_table function() const {
+    return truth_table::from_word(num_leaves, truth);
+  }
   /// True iff this cut's leaves are a subset of `other`'s.
-  [[nodiscard]] bool dominates(const cut_view& other) const;
-
-private:
-  friend class cut_set;
-  cut_view(const cut_set* set, std::uint32_t index)
-      : set_(set), index_(index) {}
-  const cut_set* set_;
-  std::uint32_t index_;
+  [[nodiscard]] bool dominates(const cut& other) const;
 };
+static_assert(std::is_trivially_copyable_v<cut> && sizeof(cut) == 48);
 
-/// All cuts of every node, packed into one arena.  Indexed by node; CIs carry
+/// All cuts of every node, packed into one array.  Indexed by node; CIs carry
 /// only their trivial cut, the constant node one empty constant cut.
 class cut_set {
 public:
-  /// Iterable, indexable view over one node's cuts.
-  class range {
-  public:
-    class iterator {
-    public:
-      cut_view operator*() const { return {set_, index_}; }
-      iterator& operator++() {
-        ++index_;
-        return *this;
-      }
-      bool operator!=(const iterator& o) const { return index_ != o.index_; }
-
-    private:
-      friend class range;
-      iterator(const cut_set* set, std::uint32_t index)
-          : set_(set), index_(index) {}
-      const cut_set* set_;
-      std::uint32_t index_;
-    };
-
-    [[nodiscard]] iterator begin() const { return {set_, begin_}; }
-    [[nodiscard]] iterator end() const { return {set_, begin_ + count_}; }
-    [[nodiscard]] std::size_t size() const { return count_; }
-    [[nodiscard]] bool empty() const { return count_ == 0; }
-    [[nodiscard]] cut_view operator[](std::size_t i) const {
-      return {set_, begin_ + static_cast<std::uint32_t>(i)};
-    }
-
-  private:
-    friend class cut_set;
-    range(const cut_set* set, std::uint32_t begin, std::uint32_t count)
-        : set_(set), begin_(begin), count_(count) {}
-    const cut_set* set_;
-    std::uint32_t begin_;
-    std::uint32_t count_;
-  };
-
   /// Cuts of node `n`, in enumeration (priority) order.
-  [[nodiscard]] range operator[](aig::node_index n) const {
-    return {this, spans_[n].first, spans_[n].second};
+  [[nodiscard]] std::span<const cut> operator[](aig::node_index n) const {
+    return {cuts_.data() + first_[n], first_[n + 1] - first_[n]};
   }
-  /// Number of nodes the set was enumerated over.
-  [[nodiscard]] std::size_t num_nodes() const { return spans_.size(); }
   /// Total number of stored cuts across all nodes.
-  [[nodiscard]] std::size_t num_cuts() const { return entries_.size(); }
-  /// Total number of pooled leaf references.
-  [[nodiscard]] std::size_t num_leaf_refs() const { return leaf_pool_.size(); }
+  [[nodiscard]] std::size_t num_cuts() const { return cuts_.size(); }
   /// Reserved footprint of the arena in bytes (capacity, not size).
   [[nodiscard]] std::size_t arena_bytes() const {
-    return leaf_pool_.capacity() * sizeof(aig::node_index) +
-           entries_.capacity() * sizeof(entry) +
-           spans_.capacity() * sizeof(spans_[0]);
+    return cuts_.capacity() * sizeof(cut) +
+           first_.capacity() * sizeof(std::uint32_t);
   }
 
 private:
-  friend class cut_view;
   friend class cut_engine;
 
-  struct entry {
-    std::uint32_t leaf_begin = 0;  ///< offset into the shared leaf pool
-    std::uint32_t num_leaves = 0;
-    std::uint64_t signature = 0;
-    truth_table function;  ///< over num_leaves variables
-  };
-
-  std::vector<aig::node_index> leaf_pool_;
-  std::vector<entry> entries_;
-  /// Per node: (first entry index, cut count).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> spans_;
+  std::vector<cut> cuts_;
+  /// Node n's cuts are cuts_[first_[n] .. first_[n + 1]).
+  std::vector<std::uint32_t> first_;
 };
 
-/// Reusable cut enumeration engine.  Owns the arena and all scratch buffers;
-/// enumerate() recycles them, so repeated enumerations (one per rewriting
-/// pass) are allocation-free once the high-water mark is reached.
+/// Reusable cut enumeration engine.  Owns the arena; enumerate() recycles
+/// it, so repeated enumerations (one per rewriting pass) are allocation-free
+/// once the high-water mark is reached.
 class cut_engine {
 public:
   /// Work counters of the most recent enumerate() call.
@@ -143,7 +95,8 @@ public:
   };
 
   /// Enumerates cuts for every node of `network` into the reused arena; the
-  /// returned reference stays valid until the next enumerate() call.
+  /// returned reference stays valid until the next enumerate() call.  Throws
+  /// std::invalid_argument when params.cut_size exceeds cut::max_leaves.
   const cut_set& enumerate(const aig& network, const cut_params& params = {});
 
   [[nodiscard]] const cut_set& cuts() const { return set_; }
@@ -155,11 +108,6 @@ public:
 private:
   cut_set set_;
   counters counters_;
-  // Per-node scratch, recycled across nodes and enumerations.
-  std::vector<cut_set::entry> scratch_entries_;
-  std::vector<aig::node_index> scratch_leaves_;
-  std::vector<aig::node_index> merged_;
-  std::vector<unsigned> positions_;
 };
 
 /// One-shot enumeration through a temporary engine (tests, explorers).  Hot
@@ -175,9 +123,10 @@ unsigned mffc_size(const aig& network, aig::node_index root,
                    const std::vector<aig::node_index>& leaves,
                    const std::vector<std::uint32_t>& fanout);
 
-/// Reusable MFFC calculator: dense stamped reference/visited arrays instead
-/// of a per-query hash map, so repeated queries against one network neither
-/// allocate nor sort.
+/// Reusable MFFC calculator: one record per node (fanins, fanout count and
+/// the stamped remaining-reference count) instead of a per-query hash map,
+/// so repeated queries against one network neither allocate nor sort and
+/// each visited node reads one 20-byte record.
 class mffc_calculator {
 public:
   /// Binds the calculator to a network and (re)computes its fanout counts.
@@ -189,10 +138,13 @@ public:
   [[nodiscard]] std::uint64_t num_queries() const { return queries_; }
 
 private:
-  const aig* network_ = nullptr;
-  std::vector<std::uint32_t> fanout_;
-  std::vector<std::uint32_t> remaining_;  ///< valid where stamp_ == epoch_
-  std::vector<std::uint32_t> stamp_;
+  struct node_record {
+    aig::node_index fanin[2] = {aig::null_node, aig::null_node};  ///< gates
+    std::uint32_t fanout = 0;
+    std::uint32_t remaining = 0;  ///< valid where stamp == epoch_
+    std::uint32_t stamp = 0;
+  };
+  std::vector<node_record> nodes_;
   std::uint32_t epoch_ = 0;
   std::vector<aig::node_index> stack_;
   std::uint64_t queries_ = 0;

@@ -639,6 +639,7 @@ batch_report batch_runner::run_jobs(
     batch_entry& slot = report.entries[i];
     slot.name = std::move(names[i]);
     tasks.push_back([&slot, job = std::move(jobs[i])] {
+      const auto job_start = clock::now();
       try {
         slot.result = job();
         slot.ok = true;
@@ -647,15 +648,16 @@ batch_report batch_runner::run_jobs(
       } catch (...) {
         slot.error = "unknown exception";
       }
+      slot.wall_ms =
+          std::chrono::duration<double, std::milli>(clock::now() - job_start)
+              .count();
     });
   }
   impl_->run_subtasks(std::move(tasks));
 
   const std::chrono::duration<double, std::milli> wall = clock::now() - start;
   report.wall_ms = wall.count();
-  for (const auto& e : report.entries) {
-    if (e.ok) report.flow_ms_sum += e.result.total_ms;
-  }
+  for (const auto& e : report.entries) report.flow_ms_sum += e.wall_ms;
   return report;
 }
 

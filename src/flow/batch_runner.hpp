@@ -55,13 +55,17 @@ struct batch_entry {
   bool ok = false;
   std::string error;   ///< what() of the stage exception, if !ok
   flow_result result;  ///< valid only when ok
+  /// This run's wall time for the entry's job.  A cached result keeps the
+  /// time of the run that computed it in result.total_ms; this is what the
+  /// entry cost now (a lookup, for a hit).
+  double wall_ms = 0.0;
 };
 
 /// Outcome of one batch: entries in input order plus wall-clock accounting.
 struct batch_report {
   std::vector<batch_entry> entries;
   double wall_ms = 0.0;      ///< elapsed wall-clock for the whole batch
-  double flow_ms_sum = 0.0;  ///< sum of per-circuit flow times (CPU-ish)
+  double flow_ms_sum = 0.0;  ///< sum of the entries' wall_ms (CPU-ish)
   unsigned threads = 1;      ///< the runner's num_threads()
 
   std::size_t num_ok() const;

@@ -1,7 +1,5 @@
 #include "opt/aig_structure.hpp"
 
-#include <stdexcept>
-
 namespace xsfq {
 
 truth_table aig_structure::evaluate() const {
@@ -20,74 +18,6 @@ truth_table aig_structure::evaluate() const {
     value.push_back(resolve(st.lit0) & resolve(st.lit1));
   }
   return resolve(out_lit);
-}
-
-std::optional<unsigned> count_new_nodes(const aig& dest, const aig_structure& s,
-                                        const std::vector<signal>& leaf_signals,
-                                        unsigned budget) {
-  probe_scratch scratch;
-  return count_new_nodes(dest, s, leaf_signals, budget, scratch);
-}
-
-std::optional<unsigned> count_new_nodes(const aig& dest, const aig_structure& s,
-                                        const std::vector<signal>& leaf_signals,
-                                        unsigned budget,
-                                        probe_scratch& scratch) {
-  if (leaf_signals.size() != s.num_leaves) {
-    throw std::invalid_argument("count_new_nodes: leaf count mismatch");
-  }
-  // A slot is either a concrete signal in `dest` (known) or "virtual"
-  // (the step would create a new node).
-  auto& value = scratch.value;
-  value.assign(s.num_leaves + s.steps.size(), {false, signal{}});
-  for (unsigned v = 0; v < s.num_leaves; ++v) {
-    value[v] = {true, leaf_signals[v]};
-  }
-  unsigned added = 0;
-  for (std::size_t i = 0; i < s.steps.size(); ++i) {
-    const auto& st = s.steps[i];
-    // Constants cannot appear as step fanins (providers fold them away).
-    const auto& a = value[st.lit0 >> 1];
-    const auto& b = value[st.lit1 >> 1];
-    auto& out = value[s.num_leaves + i];
-    if (a.first && b.first) {
-      if (const auto found = dest.find_and(a.second ^ (st.lit0 & 1u),
-                                           b.second ^ (st.lit1 & 1u))) {
-        out = {true, *found};
-        continue;
-      }
-    }
-    out = {false, signal{}};
-    if (++added > budget) return std::nullopt;
-  }
-  return added;
-}
-
-signal build_structure(aig& dest, const aig_structure& s,
-                       const std::vector<signal>& leaf_signals) {
-  std::vector<signal> scratch;
-  return build_structure(dest, s, leaf_signals, scratch);
-}
-
-signal build_structure(aig& dest, const aig_structure& s,
-                       const std::vector<signal>& leaf_signals,
-                       std::vector<signal>& scratch) {
-  if (leaf_signals.size() != s.num_leaves) {
-    throw std::invalid_argument("build_structure: leaf count mismatch");
-  }
-  auto& value = scratch;
-  value.clear();
-  value.reserve(s.num_leaves + s.steps.size());
-  value.insert(value.end(), leaf_signals.begin(), leaf_signals.end());
-  auto resolve = [&](std::uint32_t lit) -> signal {
-    if (lit == aig_structure::const0_lit) return dest.get_constant(false);
-    if (lit == aig_structure::const1_lit) return dest.get_constant(true);
-    return value[lit >> 1] ^ ((lit & 1u) != 0);
-  };
-  for (const auto& st : s.steps) {
-    value.push_back(dest.create_and(resolve(st.lit0), resolve(st.lit1)));
-  }
-  return resolve(s.out_lit);
 }
 
 }  // namespace xsfq

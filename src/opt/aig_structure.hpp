@@ -6,13 +6,15 @@
 /// implementation of the cut function.  Candidates are described abstractly
 /// as a list of AND steps over the cut leaves so that they can be *probed*
 /// against the destination network's structural hash table (counting how many
-/// nodes the replacement would really add) before anything is built.
+/// nodes the replacement would really add) before anything is built.  This
+/// is the exchange form of a candidate (the rewrite library's output and the
+/// `resynthesis_fn` contract); the optimization engine copies the steps into
+/// its own flat step pool and probes and builds them there
+/// (opt/opt_engine.hpp).
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "aig/aig.hpp"
 #include "util/truth_table.hpp"
 
 namespace xsfq {
@@ -43,35 +45,5 @@ struct aig_structure {
   /// (used by tests and by the library builder for self-checks).
   [[nodiscard]] truth_table evaluate() const;
 };
-
-/// Reusable scratch for count_new_nodes: one (known, signal) slot per leaf
-/// and step, recycled across probes so the rewriting hot loop does not
-/// allocate per candidate.
-struct probe_scratch {
-  std::vector<std::pair<bool, signal>> value;
-};
-
-/// Counts how many new AND nodes realizing `s` on `leaf_signals` would add to
-/// `dest`, reusing existing nodes through the structural hash table.  Stops
-/// early and returns nullopt if the count would exceed `budget`.
-std::optional<unsigned> count_new_nodes(const aig& dest, const aig_structure& s,
-                                        const std::vector<signal>& leaf_signals,
-                                        unsigned budget);
-
-/// Allocation-free variant backed by caller-owned scratch.
-std::optional<unsigned> count_new_nodes(const aig& dest, const aig_structure& s,
-                                        const std::vector<signal>& leaf_signals,
-                                        unsigned budget,
-                                        probe_scratch& scratch);
-
-/// Builds the structure in `dest` and returns the output signal.
-signal build_structure(aig& dest, const aig_structure& s,
-                       const std::vector<signal>& leaf_signals);
-
-/// Allocation-free variant backed by caller-owned scratch (one call per
-/// accepted replacement sits on the rewriting hot path).
-signal build_structure(aig& dest, const aig_structure& s,
-                       const std::vector<signal>& leaf_signals,
-                       std::vector<signal>& scratch);
 
 }  // namespace xsfq

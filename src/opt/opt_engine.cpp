@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "opt/rewrite_library.hpp"
@@ -14,9 +15,8 @@ namespace xsfq {
 namespace {
 
 /// Replicates a table over k <= 4 variables to the full 16-row domain.
-std::uint16_t to_uint16(const truth_table& t) {
-  const std::uint64_t word = t.word0();
-  switch (t.num_vars()) {
+std::uint16_t to_uint16(std::uint64_t word, unsigned vars) {
+  switch (vars) {
     case 0: return (word & 1u) ? 0xFFFF : 0x0000;
     case 1: {
       const auto b = static_cast<std::uint16_t>(word & 0x3u);
@@ -38,22 +38,35 @@ std::uint16_t to_uint16(const truth_table& t) {
 // The refactor provider used to build a factor_expr tree (one heap node per
 // literal/operator) and feed it to emit_factor; allocation dominated the cold
 // cost of first-seen cut functions.  The emitters below walk the same
-// quick-factor recursion but append structure steps directly, reproducing
-// emit_factor(*factor_cover(cover)) byte for byte (pinned by
-// tests/test_isop_factor.cpp and the golden optimize fingerprints).
+// quick-factor recursion but append structure steps directly to the engine's
+// step pool, reproducing emit_factor(*factor_cover(cover)) byte for byte
+// (pinned by tests/test_isop_factor.cpp and the golden optimize
+// fingerprints).
+
+/// Where an emission appends its steps: the pool tail from `base` on, whose
+/// step i is literal (num_leaves + i) << 1.
+struct emit_target {
+  std::vector<aig_structure::step>& steps;
+  std::size_t base;
+  unsigned num_leaves;
+
+  std::uint32_t push(std::uint32_t lit0, std::uint32_t lit1) {
+    steps.push_back({lit0, lit1});
+    return static_cast<std::uint32_t>(num_leaves + steps.size() - 1 - base)
+           << 1;
+  }
+};
 
 /// Balanced binary reduction over emitted literals — the exact reduction of
 /// emit_factor's and_op/or_op case (for OR, callers pass pre-complemented
 /// literals and complement the result).
 std::uint32_t reduce_emitted(std::vector<std::uint32_t>& lits, bool is_or,
-                             aig_structure& s) {
+                             emit_target& s) {
   while (lits.size() > 1) {
     std::size_t out = 0;
     std::size_t i = 0;
     for (; i + 1 < lits.size(); i += 2) {
-      s.steps.push_back({lits[i], lits[i + 1]});
-      lits[out++] =
-          static_cast<std::uint32_t>(s.num_leaves + s.steps.size() - 1) << 1;
+      lits[out++] = s.push(lits[i], lits[i + 1]);
     }
     if (i < lits.size()) lits[out++] = lits[i];
     lits.resize(out);
@@ -66,16 +79,15 @@ std::uint32_t reduce_emitted(std::vector<std::uint32_t>& lits, bool is_or,
 /// first-seen cut function costs arithmetic, not allocator traffic.
 class factor_emitter {
 public:
-  /// Structure steps + output literal for factor_function(function); exactly
-  /// what emit_factor(*factor_function(function), s) used to produce.
-  std::uint32_t emit(const truth_table& function, aig_structure& s) {
-    if (function.is_const0()) return aig_structure::const0_lit;
-    if (function.is_const1()) return aig_structure::const1_lit;
-    if (function.is_small()) {
-      isop_word_into(function.word0(), function.num_vars(), cover_);
-    } else {
-      isop_into(function, truth_table::zeros(function.num_vars()), cover_);
+  /// Appends the steps of factor_function(f) for the single-word function
+  /// `word` over `vars` variables and returns its output literal; exactly
+  /// what emit_factor(*factor_function(f), s) used to produce.
+  std::uint32_t emit(std::uint64_t word, unsigned vars, emit_target& s) {
+    if (word == 0) return aig_structure::const0_lit;
+    if (word == truth_table::ones(vars).word0()) {
+      return aig_structure::const1_lit;
     }
+    isop_word_into(word, vars, cover_);
     return emit_cover(cover_, s, 0);
   }
 
@@ -96,7 +108,7 @@ private:
 
   /// emit_factor(make_cube_expr(c)): AND of the cube's literals in ascending
   /// variable order, positive before negative.
-  std::uint32_t emit_cube(const cube& c, aig_structure& s,
+  std::uint32_t emit_cube(const cube& c, emit_target& s,
                           std::vector<std::uint32_t>& lits) {
     lits.clear();
     for (std::uint32_t bits = c.pos | c.neg; bits != 0; bits &= bits - 1) {
@@ -112,7 +124,7 @@ private:
   /// emit_factor(*factor_cover(cover)) without the tree.  Deeper recursion
   /// levels use deeper frames, so `cover` (living in the caller's frame or
   /// cover_) is never invalidated.
-  std::uint32_t emit_cover(std::vector<cube>& cover, aig_structure& s,
+  std::uint32_t emit_cover(std::vector<cube>& cover, emit_target& s,
                            std::size_t depth) {
     frame& f = at(depth);
     if (cover.empty()) return aig_structure::const0_lit;
@@ -159,9 +171,7 @@ private:
     } else if (q_lit == aig_structure::const0_lit) {
       product = aig_structure::const0_lit;
     } else {
-      s.steps.push_back({literal, q_lit});
-      product =
-          static_cast<std::uint32_t>(s.num_leaves + s.steps.size() - 1) << 1;
+      product = s.push(literal, q_lit);
     }
 
     if (f.remainder.empty()) return product;
@@ -229,42 +239,41 @@ opt_engine& opt_engine::thread_local_engine() {
   return *held;
 }
 
-const aig_structure* opt_engine::library_candidate(
-    const truth_table& function) {
-  const std::uint16_t key = to_uint16(function);
-  if (library_state_.empty()) {
-    library_state_.assign(65536, 0);
-    library_slots_.resize(65536);
-  }
-  if (library_state_[key] == 0) {
-    if (auto s = rewrite_library::instance().structure(key)) {
-      library_slots_[key] = std::make_unique<aig_structure>(std::move(*s));
-      library_state_[key] = 2;
-    } else {
-      library_state_[key] = 1;
+opt_engine::candidate opt_engine::pool_structure(const aig_structure& s) {
+  candidate c;
+  c.begin = static_cast<std::uint32_t>(steps_.size());
+  c.count = s.num_steps();
+  c.out_lit = s.out_lit;
+  c.num_leaves = s.num_leaves;
+  steps_.insert(steps_.end(), s.steps.begin(), s.steps.end());
+  return c;
+}
+
+const opt_engine::candidate* opt_engine::library_candidate(std::uint64_t word,
+                                                           unsigned vars) {
+  const std::uint16_t key = to_uint16(word, vars);
+  if (library_index_.empty()) library_index_.assign(65536, 0);
+  std::uint32_t& index = library_index_[key];
+  if (index == 0) {
+    index = 1;
+    if (const auto s = rewrite_library::instance().structure(key)) {
+      library_.push_back(pool_structure(*s));
+      index = static_cast<std::uint32_t>(library_.size()) + 1;
     }
   } else {
     ++counters_.resynth_cache_hits;
   }
-  return library_state_[key] == 2 ? library_slots_[key].get() : nullptr;
+  return index >= 2 ? &library_[index - 2] : nullptr;
 }
 
-namespace {
-aig_structure factor_structure_of(const truth_table& function) {
-  static thread_local factor_emitter emitter;
-  aig_structure s;
-  s.num_leaves = function.num_vars();
-  s.out_lit = emitter.emit(function, s);
-  return s;
-}
-}  // namespace
-
-const aig_structure* opt_engine::factoring_small(const truth_table& function) {
+const opt_engine::candidate* opt_engine::factoring_candidate(
+    std::uint64_t word, unsigned vars) {
   // Linear-probed lookup on the packed (word, vars) key; grown at 70% load.
   if (factoring_table_.empty()) factoring_table_.resize(1024);
-  const std::uint64_t word = function.word0();
-  const auto vars = static_cast<std::uint8_t>(function.num_vars());
-  const std::uint64_t hashed = hash_mix(0x9E3779B97F4A7C15ull ^ vars, word);
+  const auto key_of = [](std::uint64_t w, std::uint8_t v) {
+    return hash_mix(0x9E3779B97F4A7C15ull ^ v, w);
+  };
+  const std::size_t hashed = key_of(word, static_cast<std::uint8_t>(vars));
   std::size_t slot = hashed & (factoring_table_.size() - 1);
   while (factoring_table_[slot].occupied) {
     const factoring_entry& e = factoring_table_[slot];
@@ -276,42 +285,33 @@ const aig_structure* opt_engine::factoring_small(const truth_table& function) {
   }
   if ((factoring_used_ + 1) * 10 > factoring_table_.size() * 7) {
     std::vector<factoring_entry> old = std::move(factoring_table_);
-    factoring_table_.clear();
-    factoring_table_.resize(old.size() * 2);
-    for (factoring_entry& e : old) {
+    factoring_table_.assign(old.size() * 2, factoring_entry{});
+    for (const factoring_entry& e : old) {
       if (!e.occupied) continue;
-      std::size_t to = hash_mix(0x9E3779B97F4A7C15ull ^ e.vars, e.word) &
-                       (factoring_table_.size() - 1);
+      std::size_t to = key_of(e.word, e.vars) & (factoring_table_.size() - 1);
       while (factoring_table_[to].occupied) {
         to = (to + 1) & (factoring_table_.size() - 1);
       }
-      factoring_table_[to] = std::move(e);
+      factoring_table_[to] = e;
     }
     slot = hashed & (factoring_table_.size() - 1);
     while (factoring_table_[slot].occupied) {
       slot = (slot + 1) & (factoring_table_.size() - 1);
     }
   }
+  static thread_local factor_emitter emitter;
   factoring_entry& e = factoring_table_[slot];
   e.word = word;
-  e.vars = vars;
+  e.vars = static_cast<std::uint8_t>(vars);
   e.occupied = true;
-  e.structure = factor_structure_of(function);
+  e.structure.begin = static_cast<std::uint32_t>(steps_.size());
+  e.structure.num_leaves = vars;
+  emit_target target{steps_, steps_.size(), vars};
+  e.structure.out_lit = emitter.emit(word, vars, target);
+  e.structure.count =
+      static_cast<std::uint32_t>(steps_.size()) - e.structure.begin;
   ++factoring_used_;
   return &e.structure;
-}
-
-const aig_structure* opt_engine::factoring_candidate(
-    const truth_table& function) {
-  if (function.is_small()) return factoring_small(function);
-  auto it = factoring_cache_.find(function);
-  if (it == factoring_cache_.end()) {
-    it = factoring_cache_.emplace(function, factor_structure_of(function))
-             .first;
-  } else {
-    ++counters_.resynth_cache_hits;
-  }
-  return it->second ? &*it->second : nullptr;
 }
 
 void opt_engine::note_net_arena() {
@@ -345,8 +345,39 @@ aig opt_engine::finalize_copy(aig& raw) {
   return out;
 }
 
+int opt_engine::probe(const aig& dest, const candidate& c, int budget) {
+  // A slot holds the raw signal a leaf or step already has in `dest`, or
+  // fresh_node when the step would create a new node.
+  constexpr std::uint32_t fresh_node = 0xFFFFFFFFu;
+  const std::uint32_t num_slots = c.num_leaves + c.count;
+  if (probe_.size() < num_slots) probe_.resize(num_slots);
+  std::uint32_t* value = probe_.data();
+  for (std::uint32_t v = 0; v < c.num_leaves; ++v) value[v] = leaves_[v].raw();
+  const aig_structure::step* steps = steps_.data() + c.begin;
+  int added = 0;
+  for (std::uint32_t i = 0; i < c.count; ++i) {
+    // Constants cannot appear as step fanins (providers fold them away).
+    const std::uint32_t lit0 = steps[i].lit0;
+    const std::uint32_t lit1 = steps[i].lit1;
+    const std::uint32_t a = value[lit0 >> 1];
+    const std::uint32_t b = value[lit1 >> 1];
+    std::uint32_t& out = value[c.num_leaves + i];
+    if (a != fresh_node && b != fresh_node) {
+      if (const auto found = dest.find_and(signal::from_raw(a ^ (lit0 & 1u)),
+                                           signal::from_raw(b ^ (lit1 & 1u)))) {
+        out = found->raw();
+        continue;
+      }
+    }
+    out = fresh_node;
+    if (++added > budget) return -1;
+  }
+  return added;
+}
+
+template <typename Provider>
 void opt_engine::rewrite_core_into(const aig& network, aig& dest,
-                                   const provider_fn& provider,
+                                   Provider&& provider,
                                    const cut_rewriting_params& params,
                                    cut_rewriting_stats* stats) {
   const cut_set& cuts = cuts_.enumerate(network, params.cuts);
@@ -370,53 +401,63 @@ void opt_engine::rewrite_core_into(const aig& network, aig& dest,
 
   cut_rewriting_stats local_stats;
   network.foreach_gate([&](aig::node_index n) {
-    // Default: copy the AND gate.
-    const signal f0 = network.fanin0(n);
-    const signal f1 = network.fanin1(n);
-    const signal d0 = map_[f0.index()] ^ f0.is_complemented();
-    const signal d1 = map_[f1.index()] ^ f1.is_complemented();
-
     int best_gain = 0;
     bool have_best = false;
 
-    for (const cut_view c : cuts[n]) {
-      const auto cut_leaves = c.leaves();
-      if (cut_leaves.size() == 1 && cut_leaves[0] == n) continue;  // trivial
-      const unsigned mffc = mffc_.size(n, cut_leaves);
+    for (const cut& c : cuts[n]) {
+      if (c.num_leaves == 1 && c.leaf[0] == n) continue;  // trivial
+      const unsigned mffc = mffc_.size(n, c.leaves());
       if (mffc == 0) continue;
-      const aig_structure* candidate = provider(c.function());
-      if (!candidate) continue;
+      const candidate* cand = provider(c.truth, c.num_leaves);
+      if (!cand) continue;
+      if (cand->num_leaves < c.num_leaves) {
+        throw std::invalid_argument(
+            "cut_rewriting: candidate has fewer leaves than its cut");
+      }
+      // A candidate is accepted iff its gain (mffc - added) beats the best
+      // so far, or, on a zero-gain pass before any candidate, is zero: so
+      // the probe may stop once `added` exceeds this budget.
+      const int budget = (params.allow_zero_gain && !have_best)
+                             ? static_cast<int>(mffc)
+                             : static_cast<int>(mffc) - best_gain - 1;
+      if (budget < 0) continue;
 
       leaves_.clear();
-      for (const auto leaf : cut_leaves) leaves_.push_back(map_[leaf]);
+      for (const aig::node_index leaf : c.leaves()) {
+        leaves_.push_back(map_[leaf]);
+      }
       // Pad unused leaf slots (library structures always use 4 slots).
-      while (leaves_.size() < candidate->num_leaves) {
-        leaves_.push_back(dest.get_constant(false));
-      }
+      leaves_.resize(cand->num_leaves, dest.get_constant(false));
 
-      const auto added =
-          count_new_nodes(dest, *candidate, leaves_, mffc, probe_);
-      if (!added) continue;
-      const int gain = static_cast<int>(mffc) - static_cast<int>(*added);
-      const bool accept =
-          gain > best_gain ||
-          (params.allow_zero_gain && gain == 0 && !have_best);
-      if (accept) {
-        best_gain = gain;
-        have_best = true;
-        best_structure_ = *candidate;
-        best_leaves_.assign(leaves_.begin(), leaves_.end());
-      }
+      const int added = probe(dest, *cand, budget);
+      if (added < 0) continue;
+      best_gain = static_cast<int>(mffc) - added;
+      have_best = true;
+      best_steps_.assign(steps_.begin() + cand->begin,
+                         steps_.begin() + cand->begin + cand->count);
+      best_out_lit_ = cand->out_lit;
+      best_leaves_.assign(leaves_.begin(), leaves_.end());
     }
 
-    if (have_best) {
-      map_[n] =
-          build_structure(dest, best_structure_, best_leaves_, build_scratch_);
-      ++local_stats.replacements;
-      local_stats.gain_estimate += static_cast<unsigned>(best_gain);
-    } else {
-      map_[n] = dest.create_and(d0, d1);
+    if (!have_best) {
+      const signal f0 = network.fanin0(n);
+      const signal f1 = network.fanin1(n);
+      map_[n] = dest.create_and(map_[f0.index()] ^ f0.is_complemented(),
+                                map_[f1.index()] ^ f1.is_complemented());
+      return;
     }
+    build_.assign(best_leaves_.begin(), best_leaves_.end());
+    const auto resolve = [&](std::uint32_t lit) -> signal {
+      if (lit == aig_structure::const0_lit) return dest.get_constant(false);
+      if (lit == aig_structure::const1_lit) return dest.get_constant(true);
+      return build_[lit >> 1] ^ ((lit & 1u) != 0);
+    };
+    for (const aig_structure::step& st : best_steps_) {
+      build_.push_back(dest.create_and(resolve(st.lit0), resolve(st.lit1)));
+    }
+    map_[n] = resolve(best_out_lit_);
+    ++local_stats.replacements;
+    local_stats.gain_estimate += static_cast<unsigned>(best_gain);
   });
 
   for (std::size_t i = 0; i < network.num_pos(); ++i) {
@@ -437,41 +478,64 @@ void opt_engine::rewrite_core_into(const aig& network, aig& dest,
   if (stats) *stats = local_stats;
 }
 
-aig opt_engine::cut_rewriting(const aig& network,
-                              const resynthesis_fn& resynthesize,
-                              const cut_rewriting_params& params,
-                              cut_rewriting_stats* stats) {
-  rewrite_core_into(
-      network, net_buf_[0],
-      [this, &resynthesize](const truth_table& f) -> const aig_structure* {
-        adapted_ = resynthesize(f);
-        return adapted_ ? &*adapted_ : nullptr;
-      },
-      params, stats);
-  return finalize_copy(net_buf_[0]);
-}
-
-aig opt_engine::rewrite(const aig& network, bool allow_zero_gain) {
+void opt_engine::rewrite_into(const aig& network, aig& dest,
+                              bool allow_zero_gain) {
   cut_rewriting_params params;
   params.cuts.cut_size = 4;
   params.allow_zero_gain = allow_zero_gain;
   rewrite_core_into(
-      network, net_buf_[0],
-      [this](const truth_table& f) { return library_candidate(f); }, params,
-      nullptr);
-  return finalize_copy(net_buf_[0]);
+      network, dest,
+      [this](std::uint64_t word, unsigned vars) {
+        return library_candidate(word, vars);
+      },
+      params, nullptr);
 }
 
-aig opt_engine::refactor(const aig& network, unsigned cut_size,
-                         bool allow_zero_gain) {
+void opt_engine::refactor_into(const aig& network, aig& dest,
+                               unsigned cut_size, bool allow_zero_gain) {
   cut_rewriting_params params;
   params.cuts.cut_size = cut_size;
   params.cuts.cut_limit = 8;
   params.allow_zero_gain = allow_zero_gain;
   rewrite_core_into(
+      network, dest,
+      [this](std::uint64_t word, unsigned vars) {
+        return factoring_candidate(word, vars);
+      },
+      params, nullptr);
+}
+
+aig opt_engine::cut_rewriting(const aig& network,
+                              const resynthesis_fn& resynthesize,
+                              const cut_rewriting_params& params,
+                              cut_rewriting_stats* stats) {
+  // Each candidate is pooled past `mark` and overwritten by the next one;
+  // the loop copies its winner out, so only the tail is ever reused.
+  const std::size_t mark = steps_.size();
+  candidate adapted;
+  rewrite_core_into(
       network, net_buf_[0],
-      [this](const truth_table& f) { return factoring_candidate(f); }, params,
-      nullptr);
+      [&](std::uint64_t word, unsigned vars) -> const candidate* {
+        steps_.resize(mark);
+        const std::optional<aig_structure> s =
+            resynthesize(truth_table::from_word(vars, word));
+        if (!s) return nullptr;
+        adapted = pool_structure(*s);
+        return &adapted;
+      },
+      params, stats);
+  steps_.resize(mark);
+  return finalize_copy(net_buf_[0]);
+}
+
+aig opt_engine::rewrite(const aig& network, bool allow_zero_gain) {
+  rewrite_into(network, net_buf_[0], allow_zero_gain);
+  return finalize_copy(net_buf_[0]);
+}
+
+aig opt_engine::refactor(const aig& network, unsigned cut_size,
+                         bool allow_zero_gain) {
+  refactor_into(network, net_buf_[0], cut_size, allow_zero_gain);
   return finalize_copy(net_buf_[0]);
 }
 
@@ -605,6 +669,7 @@ aig opt_engine::run_pass(const aig& network, const std::string& pass) {
 
 aig opt_engine::optimize(const aig& network, const optimize_params& params,
                          optimize_stats* stats) {
+  validate_optimize_params(params);
   optimize_stats local;
   local.initial_gates = network.num_gates();
   local.initial_depth = network.depth();
@@ -655,32 +720,16 @@ aig opt_engine::optimize(const aig& network, const optimize_params& params,
     src_slot = (out == raw) ? raw_slot : comp_slot;
   };
 
-  const auto rewrite_step = [&](const aig& g, aig& d, bool zero_gain) {
-    cut_rewriting_params rw_params;
-    rw_params.cuts.cut_size = 4;
-    rw_params.allow_zero_gain = zero_gain;
-    rewrite_core_into(
-        g, d, [this](const truth_table& f) { return library_candidate(f); },
-        rw_params, nullptr);
-  };
-  const auto refactor_step = [&](const aig& g, aig& d) {
-    cut_rewriting_params rf_params;
-    rf_params.cuts.cut_size = params.refactor_cut_size;
-    rf_params.cuts.cut_limit = 8;
-    rf_params.allow_zero_gain = false;
-    rewrite_core_into(
-        g, d, [this](const truth_table& f) { return factoring_candidate(f); },
-        rf_params, nullptr);
-  };
-
   for (unsigned round = 0; round < params.max_rounds; ++round) {
     const std::size_t gates_before = src->num_gates();
     step("b", [&](const aig& g, aig& d) { balance_into(g, d); });
-    step("rw", [&](const aig& g, aig& d) { rewrite_step(g, d, false); });
-    step("rf", [&](const aig& g, aig& d) { refactor_step(g, d); });
+    step("rw", [&](const aig& g, aig& d) { rewrite_into(g, d, false); });
+    step("rf", [&](const aig& g, aig& d) {
+      refactor_into(g, d, params.refactor_cut_size, false);
+    });
     step("b", [&](const aig& g, aig& d) { balance_into(g, d); });
     step("rw", [&](const aig& g, aig& d) {
-      rewrite_step(g, d, params.zero_gain_final);
+      rewrite_into(g, d, params.zero_gain_final);
     });
     ++local.rounds;
     if (src->num_gates() >= gates_before) break;

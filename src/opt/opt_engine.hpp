@@ -1,32 +1,36 @@
 #pragma once
 /// \file opt_engine.hpp
-/// \brief Reusable optimization engine: one cut arena, one set of scratch
-/// buffers, and one double-buffered *network* arena shared by every
-/// balance/rewrite/refactor pass.
+/// \brief Reusable optimization engine: one cut arena, one candidate step
+/// pool, one set of scratch buffers, and one double-buffered *network* arena
+/// shared by every balance/rewrite/refactor pass.
 ///
 /// The free functions in balance.hpp / cut_rewriting.hpp / script.hpp all run
 /// on a pooled engine (`opt_engine::lease`), and `optimize` keeps that
 /// engine across all passes of all rounds.  That is the allocation-free
-/// steady state: the cut arena, MFFC scratch, destination-map and leaf
-/// buffers, the probe scratch, *and the pass destination networks themselves*
-/// reach their high-water mark during the first pass and are recycled
-/// afterwards.  Passes write into a recycled shadow network (ABC-style
-/// in-place restructuring: swap buffers, don't copy out), dead-node
-/// compaction reuses a second recycled buffer and is skipped entirely when a
-/// pass produced no dead nodes (`opt_counters::rebuilds_avoided`), and
-/// resynthesis candidates (library structures for rewrite, ISOP factorings
-/// for refactor) are memoized per cut function, so repeated rounds do not
-/// re-factor the same functions.
+/// steady state: the cut arena, the per-node MFFC records, destination-map
+/// and leaf buffers, *and the pass destination networks themselves* reach
+/// their high-water mark during the first pass and are recycled afterwards.
+/// Passes write into a recycled shadow network (ABC-style in-place
+/// restructuring: swap buffers, don't copy out), dead-node compaction reuses
+/// a second recycled buffer and is skipped entirely when a pass produced no
+/// dead nodes (`opt_counters::rebuilds_avoided`).
+///
+/// Resynthesis candidates (library structures for rewrite, ISOP factorings
+/// for refactor) are memoized per cut function as 16-byte handles
+/// `{begin, count, out_lit, num_leaves}` into one engine-owned step pool, so
+/// repeated rounds do not re-factor the same functions.  The rewrite loop
+/// takes its provider as a template parameter and probes the destination's
+/// structural hash under a budget: the most nodes a candidate may add and
+/// still beat the node's best candidate so far (`mffc - best_gain - 1`, or
+/// `mffc` while a zero-gain pass has no candidate yet).  A probe stops as
+/// soon as it exceeds that budget, which changes no accept/reject decision.
 ///
 /// Every engine method produces results bit-identical to the historical
 /// copy-out passes; tests/test_cut_engine.cpp and tests/test_opt_arena.cpp
 /// pin that parity.
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -74,6 +78,7 @@ public:
   /// ABC-style `rewrite`: 4-cut resynthesis from the precomputed library.
   aig rewrite(const aig& network, bool allow_zero_gain = false);
   /// ABC-style `refactor`: larger cuts resynthesized via ISOP + factoring.
+  /// Throws std::invalid_argument for a cut_size above cut::max_leaves.
   aig refactor(const aig& network, unsigned cut_size = 6,
                bool allow_zero_gain = false);
   /// Generic DAG-aware rewriting with a pluggable resynthesis provider.
@@ -84,7 +89,8 @@ public:
   aig run_pass(const aig& network, const std::string& pass);
   /// The full resyn script on this engine's recycled arena.  Ignores
   /// params.flow_jobs (partitioned parallelism lives in opt/partition.hpp,
-  /// reached through the free xsfq::optimize).
+  /// reached through the free xsfq::optimize).  Rejects parameters the
+  /// engine cannot run (validate_optimize_params) before any pass.
   aig optimize(const aig& network, const optimize_params& params = {},
                optimize_stats* stats = nullptr);
 
@@ -103,16 +109,31 @@ public:
                    const std::string& pass_name, unsigned rounds = 32);
 
 private:
-  /// Internal provider contract: a borrowed candidate pointer (stable until
-  /// the next provider call) or nullptr to skip the cut.
-  using provider_fn = std::function<const aig_structure*(const truth_table&)>;
+  /// A resynthesis candidate: `count` AND steps starting at `begin` in
+  /// steps_, in aig_structure's literal space over `num_leaves` leaves.
+  struct candidate {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+    std::uint32_t out_lit = 0;
+    std::uint32_t num_leaves = 0;
+  };
 
   /// One pass into a recycled destination buffer (dest is reset; output is
   /// *not* compacted — callers run finish_pass or finalize_copy).
   void balance_into(const aig& src, aig& dest);
-  void rewrite_core_into(const aig& src, aig& dest, const provider_fn& provider,
+  void rewrite_into(const aig& src, aig& dest, bool allow_zero_gain);
+  void refactor_into(const aig& src, aig& dest, unsigned cut_size,
+                     bool allow_zero_gain);
+  /// The rewrite/refactor loop.  `provider(truth_word, num_vars)` returns a
+  /// candidate for a cut function (valid until its next call) or nullptr to
+  /// skip the cut.
+  template <typename Provider>
+  void rewrite_core_into(const aig& src, aig& dest, Provider&& provider,
                          const cut_rewriting_params& params,
                          cut_rewriting_stats* stats);
+  /// Nodes that building `c` over leaves_ would add to `dest` (existing
+  /// nodes are free), or -1 as soon as that count exceeds `budget`.
+  int probe(const aig& dest, const candidate& c, int budget);
 
   /// Compacts `raw` into `compacted` unless nothing is dead (then the raw
   /// buffer *is* the pass output and the rebuild is skipped).  Returns the
@@ -131,8 +152,10 @@ private:
                           const std::string& pass_name, unsigned rounds,
                           std::uint64_t seed);
 
-  const aig_structure* library_candidate(const truth_table& function);
-  const aig_structure* factoring_candidate(const truth_table& function);
+  /// Appends `s`'s steps to the pool and returns their handle.
+  candidate pool_structure(const aig_structure& s);
+  const candidate* library_candidate(std::uint64_t word, unsigned vars);
+  const candidate* factoring_candidate(std::uint64_t word, unsigned vars);
 
   cut_engine cuts_;
   mffc_calculator mffc_;
@@ -148,11 +171,13 @@ private:
   // Rewriting scratch, recycled across passes.
   std::vector<signal> map_;
   std::vector<signal> leaves_;
+  std::vector<std::uint32_t> probe_;  ///< raw signal per slot, or "new node"
+  std::vector<signal> build_;
+  // The node's best candidate so far, copied out of the pool: a
+  // resynthesis_fn candidate's pool slot is reused by the next one.
+  std::vector<aig_structure::step> best_steps_;
   std::vector<signal> best_leaves_;
-  std::vector<signal> build_scratch_;
-  aig_structure best_structure_;
-  probe_scratch probe_;
-  std::optional<aig_structure> adapted_;  ///< slot for resynthesis_fn adapters
+  std::uint32_t best_out_lit_ = 0;
 
   // Balance scratch.
   std::vector<std::uint32_t> fanout_;
@@ -162,26 +187,23 @@ private:
   std::vector<signal> conjuncts_;
   std::vector<std::pair<std::uint32_t, signal>> heap_;
 
-  // Memoized resynthesis candidates.  The 16-bit rewrite key space is dense
-  // enough for a flat table (lazily sized; 0 = unprobed, 1 = no candidate,
-  // 2 = materialized in library_slots_) — the provider sits in the rewrite
-  // inner loop, where hashing a uint16 was measurable.  Factorings of
-  // single-word functions (<= 6 vars, every standard refactor cut) live in
-  // an open-addressed table keyed by (table word, var count); wider
-  // functions spill to a conventional map.
-  std::vector<std::uint8_t> library_state_;
-  std::vector<std::unique_ptr<aig_structure>> library_slots_;
+  // Memoized resynthesis candidates, all stored in one step pool.  The
+  // 16-bit rewrite key space is dense enough for a flat index (lazily sized;
+  // 0 = unprobed, 1 = no candidate, i + 2 = library_[i]) — the provider sits
+  // in the rewrite inner loop, where hashing a uint16 was measurable.
+  // Factorings live in an open-addressed table keyed by (table word, var
+  // count); cuts never exceed six leaves, so one word keys every function.
+  std::vector<aig_structure::step> steps_;
+  std::vector<std::uint32_t> library_index_;
+  std::vector<candidate> library_;
   struct factoring_entry {
     std::uint64_t word = 0;
     std::uint8_t vars = 0;
     bool occupied = false;
-    aig_structure structure;
+    candidate structure;
   };
   std::vector<factoring_entry> factoring_table_;
   std::size_t factoring_used_ = 0;
-  const aig_structure* factoring_small(const truth_table& function);
-  std::unordered_map<truth_table, std::optional<aig_structure>>
-      factoring_cache_;  ///< spill tier for > 6-var cut functions
 };
 
 }  // namespace xsfq

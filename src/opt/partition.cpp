@@ -93,6 +93,7 @@ unsigned effective_partition_count(std::size_t num_gates, unsigned flow_jobs) {
 
 aig optimize_partitioned(const aig& network, const optimize_params& params,
                          optimize_stats* stats, partition_info* info) {
+  validate_optimize_params(params);
   const std::size_t num_gates = network.num_gates();
   const std::size_t grain = params.partition_grain;
   const unsigned P =

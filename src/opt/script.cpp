@@ -1,5 +1,8 @@
 #include "opt/script.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "opt/opt_engine.hpp"
 #include "opt/partition.hpp"
 
@@ -19,6 +22,15 @@ opt_counters opt_counters::delta_since(const opt_counters& before) const {
   d.rebuilds_avoided -= before.rebuilds_avoided;
   // cut_arena_bytes / net_arena_bytes stay the peak footprint, not a delta.
   return d;
+}
+
+void validate_optimize_params(const optimize_params& params) {
+  if (params.refactor_cut_size > cut::max_leaves) {
+    throw std::invalid_argument(
+        "optimize: refactor_cut_size " +
+        std::to_string(params.refactor_cut_size) + " exceeds " +
+        std::to_string(cut::max_leaves) + " leaves");
+  }
 }
 
 aig optimize(const aig& network, const optimize_params& params,

@@ -96,6 +96,12 @@ struct optimize_stats {
   opt_counters work;  ///< engine counters summed over all passes/rounds
 };
 
+/// Throws std::invalid_argument for parameters the engine cannot run: a
+/// refactor_cut_size above the six leaves a cut record holds.  optimize
+/// checks this before any pass, on the single-region and the partitioned
+/// path alike.
+void validate_optimize_params(const optimize_params& params);
+
 /// Runs rounds of (balance; rewrite; refactor; balance; rewrite) until the
 /// gate count stops improving.  Functional equivalence is preserved by
 /// construction; tests double-check with simulation.  The pooled engine

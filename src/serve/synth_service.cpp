@@ -264,13 +264,14 @@ synth_response run_synth_delta(
 }
 
 std::string format_timing_line(const std::vector<flow::stage_timing>& timings,
-                               double total_ms) {
+                               double total_ms, bool cached) {
   std::ostringstream os;
   os << "timing:   ";
   for (const auto& st : timings) {
     os << " " << st.stage << " " << st.ms << " ms";
   }
-  os << " (total " << total_ms << " ms)\n";
+  os << " (total " << total_ms << " ms)" << (cached ? " (cached)" : "")
+     << "\n";
   return os.str();
 }
 
@@ -386,7 +387,8 @@ int render_synth_response(const synth_response& resp,
   }
   std::cout << resp.report;
   if (!cli.no_timing) {
-    std::cout << format_timing_line(resp.timings, resp.total_ms);
+    std::cout << format_timing_line(resp.timings, resp.total_ms,
+                                    resp.served_from_cache);
   }
   if (cli.timing_csv) {
     std::cout << format_timing_csv(resp.timings);

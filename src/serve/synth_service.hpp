@@ -73,8 +73,11 @@ synth_response run_synth_delta(const synth_delta_request& req,
                                eco_outcome* outcome = nullptr);
 
 /// The non-deterministic stage-timing footer ("timing:   ... (total X ms)").
+/// A result served from a cache tier carries the timings of the run that
+/// computed it; `cached` marks the line "(cached)", as --progress marks its
+/// replayed stages.
 std::string format_timing_line(const std::vector<flow::stage_timing>& timings,
-                               double total_ms);
+                               double total_ms, bool cached = false);
 
 /// Per-stage counter CSV (xsfq_synth --timing).
 std::string format_timing_csv(const std::vector<flow::stage_timing>& timings);

@@ -27,7 +27,7 @@ TEST(Cuts, LeavesAreSortedAndUnique) {
   const aig g = benchgen::make_c432();
   const auto cuts = enumerate_cuts(g, {4, 8, true});
   g.foreach_gate([&](aig::node_index n) {
-    for (const cut_view c : cuts[n]) {
+    for (const cut& c : cuts[n]) {
       EXPECT_LE(c.size(), 4u);
       const auto leaves = c.leaves();
       for (std::size_t i = 1; i < leaves.size(); ++i) {
@@ -43,7 +43,7 @@ TEST(Cuts, TrivialCutPresent) {
   const auto cuts = enumerate_cuts(g);
   g.foreach_gate([&](aig::node_index n) {
     bool found = false;
-    for (const cut_view c : cuts[n]) {
+    for (const cut& c : cuts[n]) {
       if (c.size() == 1 && c.leaves()[0] == n) found = true;
     }
     EXPECT_TRUE(found);
@@ -70,7 +70,7 @@ TEST(Cuts, FunctionsMatchSimulation) {
   }();
 
   g.foreach_gate([&](aig::node_index n) {
-    for (const cut_view c : cuts[n]) {
+    for (const cut& c : cuts[n]) {
       // Evaluate the cut function on the leaves' global tables.
       const auto leaves = c.leaves();
       for (std::uint64_t m = 0; m < 16; ++m) {

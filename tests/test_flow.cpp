@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -247,6 +248,29 @@ TEST(BatchRunner, CustomFlowFactory) {
     EXPECT_EQ(e.result.timings.size(), 2u);
     EXPECT_GT(e.result.mapped.stats.jj, 0u);
   }
+}
+
+TEST(BatchRunner, EntryTimeIsThisRunsWallTimeNotTheStoredOne) {
+  // A job that returns a stored result (as a cache hit does) reports what
+  // the entry cost this run, not the stored cold time.
+  flow::flow_result canned;
+  canned.total_ms = 1e6;
+  flow::batch_runner runner(2);
+  const std::vector<std::string> names = {"a", "b", "c"};
+  std::vector<std::function<flow::flow_result()>> jobs;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    jobs.push_back([canned] { return canned; });
+  }
+  const auto report = runner.run_jobs(names, std::move(jobs));
+  ASSERT_EQ(report.num_ok(), names.size());
+  double sum = 0.0;
+  for (const auto& e : report.entries) {
+    EXPECT_EQ(e.result.total_ms, 1e6);
+    EXPECT_GE(e.wall_ms, 0.0);
+    EXPECT_LT(e.wall_ms, 1e4) << e.name;
+    sum += e.wall_ms;
+  }
+  EXPECT_DOUBLE_EQ(report.flow_ms_sum, sum);
 }
 
 TEST(BatchRunner, JobNameMismatchThrows) {

@@ -1,8 +1,9 @@
 /// Pins for the zero-rebuild optimization pipeline (in-place balance/map on
 /// recycled network arenas, partitioned intra-flow parallelism):
-///  * golden fingerprints recorded from the pre-refactor copy-out pipeline —
-///    the arena rewrite must be bit-identical end to end (optimized AIG,
-///    mapped netlist, emitted Verilog);
+///  * golden fingerprints of every registry circuit, recorded from the
+///    pre-refactor pipeline — later rewrites of the engine must be
+///    bit-identical end to end (optimized AIG, mapped netlist, emitted
+///    Verilog);
 ///  * a test-local copy of the pre-refactor balance algorithm diffed against
 ///    the in-place engine on every ISCAS pin circuit;
 ///  * steady-state allocation counts: after one warm-up, optimize and map
@@ -18,6 +19,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -173,40 +176,139 @@ const char* const kPinCircuits[] = {"c432", "c880", "c1908", "c6288"};
 // Bit-identity vs the pre-refactor copy pipeline.
 // ---------------------------------------------------------------------------
 
-TEST(OptArena, GoldenFingerprintsMatchPreRefactorPipeline) {
-  struct golden {
-    const char* name;
-    std::size_t gates;
-    unsigned depth;
-    std::uint64_t content_hash;
-    std::size_t netlist_elements;
-    std::size_t jj;
-    std::uint64_t verilog_hash;
-  };
-  // Recorded from the PR 4 tree (copy-out passes, per-call mapper), gcc
-  // Release, immediately before the arena refactor.
-  const golden expected[] = {
+namespace {
+
+struct golden {
+  const char* name;
+  std::size_t gates;
+  unsigned depth;
+  std::uint64_t content_hash;
+  std::size_t netlist_elements;
+  std::size_t jj;
+  std::uint64_t verilog_hash;
+};
+
+// The whole registry, gcc Release.  c432, c880, c1908 and c6288 were
+// recorded with the copy-out passes and per-call mapper, immediately before
+// the network-arena refactor; the other 34 immediately before the flat cut
+// kernel.  Neither rewrite moved any of the 38.
+const golden kGolden[] = {
       {"c432", 143u, 30u, 0x8C4AD169DF088ECAull, 403u, 1166u,
        0xEC8783A56B8EF953ull},
+      {"c499", 540u, 22u, 0xD36F7B977E838905ull, 2032u, 6738u,
+       0xF7E5A2638E05DC98ull},
       {"c880", 449u, 38u, 0x3C2EC18836CAAE1Aull, 1706u, 5507u,
        0xD8C1DB5FF9D86987ull},
+      {"c1355", 540u, 22u, 0xD36F7B977E838905ull, 2032u, 6738u,
+       0x2EC83078C39BC3D1ull},
       {"c1908", 321u, 20u, 0xBD3FCF1E8B794FBEull, 1230u, 4004u,
        0x582A15FDF748FB02ull},
+      {"c2670", 651u, 32u, 0xF7E2B98DE392A9ABull, 1913u, 5461u,
+       0xCC0D193C3066B152ull},
+      {"c3540", 437u, 29u, 0x483F191D0275134Aull, 1346u, 4316u,
+       0xF4322E3907201BEBull},
+      {"c5315", 1086u, 29u, 0x234A623593DB9BCCull, 3672u, 11252u,
+       0x74888666DD40ECB8ull},
       {"c6288", 2704u, 128u, 0xDF904711FED958ACull, 10668u, 37018u,
        0xCD4CB37CFE410FA4ull},
-  };
-  for (const golden& e : expected) {
-    const aig g = benchgen::make_benchmark(e.name);
-    const aig o = optimize(g);
-    EXPECT_EQ(o.num_gates(), e.gates) << e.name;
-    EXPECT_EQ(o.depth(), e.depth) << e.name;
-    EXPECT_EQ(o.content_hash(), e.content_hash) << e.name;
-    const mapping_result m = map_to_xsfq(o);
-    EXPECT_EQ(m.netlist.size(), e.netlist_elements) << e.name;
-    EXPECT_EQ(m.stats.jj, e.jj) << e.name;
-    EXPECT_EQ(verilog_hash(m, e.name), e.verilog_hash) << e.name;
-  }
+      {"c7552", 1502u, 67u, 0xC93C3DD910B919F8ull, 4847u, 15270u,
+       0x1EF14DD27A5A066Bull},
+      {"arbiter", 1270u, 133u, 0x207815037AB405CFull, 3562u, 10415u,
+       0x961B5B98F64B3D5Dull},
+      {"cavlc", 54u, 11u, 0xFACD767B71644F95ull, 172u, 498u,
+       0x4C91E22C5F1E6F68ull},
+      {"ctrl", 51u, 8u, 0x3EA18EA9F0A9EF75ull, 184u, 498u,
+       0x55F6556D5193FCBBull},
+      {"dec", 312u, 4u, 0x08CC494854CA7E75ull, 1136u, 2904u,
+       0x4F98CDEE09AD1A3Eull},
+      {"i2c", 412u, 17u, 0x2996D5434F5BB0EAull, 1303u, 3062u,
+       0xDBF146DA1B955595ull},
+      {"int2float", 80u, 11u, 0x7E8551461F0A9FF4ull, 177u, 525u,
+       0x091028F062FC73F3ull},
+      {"mem_ctrl", 312u, 19u, 0x89D44C2A19A83B31ull, 926u, 2174u,
+       0xB1CC692E2F621244ull},
+      {"priority", 494u, 142u, 0x82430C90C00A447Bull, 1005u, 2717u,
+       0x7EE6F0B5C971870Aull},
+      {"router", 381u, 15u, 0x482A31D57F8C8F3Dull, 1172u, 3622u,
+       0x7FF14497303D3E35ull},
+      {"voter", 10797u, 58u, 0x1C4DB13614A83580ull, 43096u, 144826u,
+       0xFDF89308A02693ACull},
+      {"voter_sop", 112u, 21u, 0x2B362798CBAC1DABull, 241u, 742u,
+       0x49A71D55699D0184ull},
+      {"sin", 9949u, 297u, 0x59FE2D9D5540B6AFull, 39416u, 137712u,
+       0x78F851742044E11Eull},
+      {"s27", 21u, 7u, 0xB151D3DC884E8857ull, 58u, 270u,
+       0x693362DBCA75E0DDull},
+      {"s298", 144u, 10u, 0xA07933BCD92A8AB1ull, 408u, 1966u,
+       0x678D31984BC899A1ull},
+      {"s344", 363u, 17u, 0x0B36499600074BB6ull, 1125u, 4649u,
+       0xB4DBBC33BFA4AA4Cull},
+      {"s349", 379u, 16u, 0x2BDE349200F47519ull, 1311u, 5394u,
+       0x93726F74F35EBABDull},
+      {"s382", 187u, 9u, 0x573257ACB38C9008ull, 579u, 2849u,
+       0xEFF235ED928ACD1Full},
+      {"s386", 148u, 11u, 0x54569660D46B0D32ull, 469u, 1970u,
+       0x1A2C7B8E45C4CDD3ull},
+      {"s400", 163u, 9u, 0xAD0A31AE075F759Dull, 487u, 2442u,
+       0x9B31EEF2BB9DC786ull},
+      {"s420.1", 96u, 19u, 0xED010776216E6576ull, 257u, 1245u,
+       0x8E91D14F5EBBDEE4ull},
+      {"s444", 183u, 10u, 0xE706D653B964DEB3ull, 543u, 2695u,
+       0xAAFCCA79FB5CB1E9ull},
+      {"s510", 258u, 17u, 0x841EA38BCCE88FA6ull, 902u, 3433u,
+       0xA09D5D04B6656BD2ull},
+      {"s526", 180u, 9u, 0xAEB3DE5EF4578CBFull, 524u, 2656u,
+       0x349759C7030CB6B5ull},
+      {"s641", 1677u, 36u, 0x42E01822A2C186FDull, 6139u, 23677u,
+       0x9F3F0E433A55DE5Eull},
+      {"s713", 1550u, 33u, 0x7935C0D35BC78B2Aull, 5570u, 21493u,
+       0xF4DB6AF2FA4F8CD5ull},
+      {"s820", 577u, 23u, 0xC9C3C00FB8C94EB5ull, 1933u, 7401u,
+       0xBBBF72C46E8D60A4ull},
+      {"s832", 651u, 23u, 0x4B8F566705B81199ull, 2156u, 8134u,
+       0x31117899DFDCB3ECull},
+      {"s838.1", 192u, 35u, 0x336690F1844B7134ull, 513u, 2493u,
+       0xB3B8F0063A6C93EBull},
+};
+
+/// Names the circuit in test listings instead of dumping the struct's bytes.
+void PrintTo(const golden& e, std::ostream* os) { *os << e.name; }
+
+}  // namespace
+
+class OptArenaGolden : public ::testing::TestWithParam<golden> {};
+
+TEST_P(OptArenaGolden, FingerprintsMatchPreRefactorPipeline) {
+  const golden& e = GetParam();
+  const aig g = benchgen::make_benchmark(e.name);
+  const aig o = optimize(g);
+  EXPECT_EQ(o.num_gates(), e.gates) << e.name;
+  EXPECT_EQ(o.depth(), e.depth) << e.name;
+  EXPECT_EQ(o.content_hash(), e.content_hash) << e.name;
+  const mapping_result m = map_to_xsfq(o);
+  EXPECT_EQ(m.netlist.size(), e.netlist_elements) << e.name;
+  EXPECT_EQ(m.stats.jj, e.jj) << e.name;
+  EXPECT_EQ(verilog_hash(m, e.name), e.verilog_hash) << e.name;
 }
+
+TEST(OptArena, GoldenTableCoversTheRegistry) {
+  std::vector<std::string> pinned;
+  for (const golden& e : kGolden) pinned.emplace_back(e.name);
+  std::vector<std::string> registry;
+  for (const auto& e : benchgen::all_benchmarks()) registry.push_back(e.name);
+  EXPECT_EQ(pinned, registry);
+}
+
+// One instance per circuit, so `ctest -j` spreads the registry.
+INSTANTIATE_TEST_SUITE_P(
+    Registry, OptArenaGolden, ::testing::ValuesIn(kGolden),
+    [](const ::testing::TestParamInfo<golden>& info) {
+      std::string name = info.param.name;
+      for (char& c : name) {
+        if (c == '.') c = '_';  // gtest names allow only [A-Za-z0-9_]
+      }
+      return name;
+    });
 
 TEST(OptArena, InPlaceBalanceMatchesReferenceCopyPath) {
   opt_engine engine;

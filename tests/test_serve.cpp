@@ -575,6 +575,24 @@ TEST(SynthCli, CorpusEntryMatchesASingleRunUnderTheSameGrain) {
   EXPECT_EQ(jj, number_after(single, ", JJ ")) << single << csv;
 }
 
+TEST(SynthCli, TimingFooterMarksCachedResults) {
+  // A result served from a cache carries the timings of the run that
+  // computed it, so its footer says so, as --progress does per stage.
+  serve::synth_response resp;
+  resp.ok = true;
+  resp.timings = {{"generate", 0.5, {}}, {"optimize", 20.0, {}}};
+  resp.total_ms = 20.5;
+  const serve::synth_cli_options cli;
+  for (const bool cached : {false, true}) {
+    resp.served_from_cache = cached;
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(serve::render_synth_response(resp, cli), 0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("(total 20.5 ms)"), std::string::npos) << out;
+    EXPECT_EQ(out.find("(cached)") != std::string::npos, cached) << out;
+  }
+}
+
 TEST(ServeProtocol, ServerStatsEveryFieldEncodesMergesAndRenders) {
   const server_stats_reply one = every_field_stats(1);
 
