@@ -243,17 +243,18 @@ struct batch_runner::impl {
     }
   }
 
+  /// Refreshes the LRU position of a retained network; false when the tier
+  /// does not hold it.
+  bool touch_retained(std::uint64_t content_hash) {
+    std::lock_guard<std::mutex> lock(cache_mutex);
+    const auto it = retained.find(content_hash);
+    if (it == retained.end()) return false;
+    retained_lru.splice(retained_lru.begin(), retained_lru, it->second.lru_pos);
+    return true;
+  }
+
   void retain_network(std::uint64_t content_hash, const aig& network) {
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex);
-      const auto it = retained.find(content_hash);
-      if (it != retained.end()) {
-        // Already retained: just touch (refresh the LRU position).
-        retained_lru.splice(retained_lru.begin(), retained_lru,
-                            it->second.lru_pos);
-        return;
-      }
-    }
+    if (touch_retained(content_hash)) return;
     // First sighting: deep-copy outside the lock, then insert unless a
     // concurrent request for the same circuit got there first.
     auto copy = std::make_shared<const aig>(network);
@@ -266,6 +267,64 @@ struct batch_runner::impl {
                                     retained_lru.begin()});
     retained_bytes += bytes;
     evict_retained_locked();
+  }
+
+  /// Request memo: the exact source bytes of requests served from a result
+  /// tier, mapped to their circuit facts.  An LRU under a byte bound.  A
+  /// hit compares the stored bytes, so two sources that share a hash never
+  /// share facts; the newer of two such sources replaces the older.
+  struct memo_entry {
+    std::uint64_t hash = 0;
+    std::uint8_t kind = 0;
+    std::string bytes;
+    circuit_facts facts;
+  };
+  /// Per-entry bookkeeping counted against the bound beside the bytes: the
+  /// entry, its list node and its index node.
+  static constexpr std::size_t memo_overhead = sizeof(memo_entry) + 64;
+  std::mutex memo_mutex;
+  std::list<memo_entry> memo_lru;  ///< front = most recently used
+  std::unordered_map<std::uint64_t, std::list<memo_entry>::iterator>
+      memo_index;
+  std::size_t memo_bytes = 0;
+  std::atomic<std::uint64_t> request_hits{0};
+
+  static std::uint64_t source_hash(const request_source& source) {
+    return hash_mix(std::hash<std::string_view>{}(source.bytes), source.kind);
+  }
+
+  std::optional<circuit_facts> recall(std::uint64_t hash,
+                                      const request_source& source) {
+    std::lock_guard<std::mutex> lock(memo_mutex);
+    const auto it = memo_index.find(hash);
+    if (it == memo_index.end()) return std::nullopt;
+    const memo_entry& e = *it->second;
+    if (e.kind != source.kind || e.bytes != source.bytes) return std::nullopt;
+    memo_lru.splice(memo_lru.begin(), memo_lru, it->second);
+    return e.facts;
+  }
+
+  void forget_locked(std::list<memo_entry>::iterator it) {
+    memo_bytes -= memo_overhead + it->bytes.size();
+    memo_index.erase(it->hash);
+    memo_lru.erase(it);
+  }
+
+  void remember(std::uint64_t hash, const request_source& source,
+                const circuit_facts& facts) {
+    const std::size_t cost = memo_overhead + source.bytes.size();
+    if (cost > batch_runner::max_request_memo_bytes) return;
+    std::string bytes(source.bytes);  // the copy happens outside the lock
+    std::lock_guard<std::mutex> lock(memo_mutex);
+    if (const auto it = memo_index.find(hash); it != memo_index.end()) {
+      forget_locked(it->second);
+    }
+    memo_lru.push_front({hash, source.kind, std::move(bytes), facts});
+    memo_index.emplace(hash, memo_lru.begin());
+    memo_bytes += cost;
+    while (memo_bytes > batch_runner::max_request_memo_bytes) {
+      forget_locked(std::prev(memo_lru.end()));
+    }
   }
 
   /// The stored result for `key` from memory, else from the disk tier
@@ -377,59 +436,68 @@ struct batch_runner::impl {
   /// retained-network tier, which keeps the network for a later synth_delta.
   enum class tiers { none, results, retained };
 
-  /// The one flow path: run_flow over an already-built network, on the
-  /// calling thread.  With the result tiers (and the cache enabled), a
-  /// memory or disk hit returns the stored entry itself and replays its
-  /// timings, unchanged, through the observer with from_cache=true; a miss
-  /// runs the flow with the shared-future optimize tier as its optimize
-  /// hook and stores the result.  With no tiers, nothing is looked up or
-  /// stored, the region cache included: a cold run of exactly this circuit.
-  /// The pool serves a partitioned optimize either way; neither it nor the
-  /// region cache joins the fingerprint, because both change wall-clock
-  /// only.
-  std::shared_ptr<const flow_result> run(aig network, const std::string& name,
-                                         const flow_options& caller_options,
-                                         const stage_observer& observer,
-                                         tiers use) {
-    flow_options options = caller_options;
+  /// The options a flow runs under: the pool serves a partitioned optimize,
+  /// and a cached grain-mode flow gets the region cache.  With no tiers,
+  /// there is no region cache either: a cold run of exactly this circuit.
+  /// Neither joins the fingerprint, because both change wall-clock only.
+  flow_options run_options(const flow_options& caller, bool cached,
+                           tiers use) {
+    flow_options options = caller;
     if (options.opt.flow_jobs > 1 && !options.opt.executor) {
       options.opt.executor = [this](std::vector<std::function<void()>>&& t) {
         run_subtasks(std::move(t));
       };
     }
-    const bool cached =
-        use != tiers::none && cache_enabled.load(std::memory_order_relaxed);
     if (use == tiers::none) {
       options.opt.regions = nullptr;
     } else if (cached && options.opt.partition_grain > 0 &&
                options.opt.regions == nullptr) {
       options.opt.regions = &region_tier;
     }
-    cache_key full_key;
-    cache_key opt_key;
-    if (cached) {
-      const std::uint64_t circuit_hash = network.content_hash();
-      if (use == tiers::retained) retain_network(circuit_hash, network);
-      const flow_options keyed = keyed_options(network.num_gates(), options);
-      full_key = full_key_for(circuit_hash, name, keyed);
-      opt_key = {circuit_hash, fingerprint(keyed.opt)};
-      if (auto entry = find_stored(full_key)) {
-        const auto total = static_cast<std::uint32_t>(entry->timings.size());
-        for (std::uint32_t i = 0; observer && i < total; ++i) {
-          const stage_timing& t = entry->timings[i];
-          observer({t.stage, i, total, t.ms, t.counters, /*from_cache=*/true});
-        }
-        return entry;
-      }
-    }
+    return options;
+  }
 
+  /// The result-tier and optimize-tier keys of (circuit, name, options).
+  struct flow_keys {
+    cache_key full;
+    cache_key opt;
+  };
+  static flow_keys keys_for(std::uint64_t circuit_hash, std::size_t num_gates,
+                            const std::string& name,
+                            const flow_options& options) {
+    const flow_options keyed = keyed_options(num_gates, options);
+    return {full_key_for(circuit_hash, name, keyed),
+            {circuit_hash, fingerprint(keyed.opt)}};
+  }
+
+  /// A stored result, its timings replayed unchanged through the observer
+  /// with from_cache=true.
+  static std::shared_ptr<const flow_result> replay(
+      std::shared_ptr<const flow_result> entry,
+      const stage_observer& observer) {
+    const auto total = static_cast<std::uint32_t>(entry->timings.size());
+    for (std::uint32_t i = 0; observer && i < total; ++i) {
+      const stage_timing& t = entry->timings[i];
+      observer({t.stage, i, total, t.ms, t.counters, /*from_cache=*/true});
+    }
+    return entry;
+  }
+
+  /// Runs the flow on the calling thread.  With `keys`, the shared-future
+  /// optimize tier is its optimize hook and the result is stored; without,
+  /// nothing is looked up or stored.
+  std::shared_ptr<const flow_result> compute(aig network,
+                                             const std::string& name,
+                                             const flow_options& options,
+                                             const stage_observer& observer,
+                                             const flow_keys* keys) {
     // The claim happens when the optimize stage *runs*, so whichever flow
     // gets there first produces and everyone else — ready or still in
     // flight on another thread — consumes the same result.
     optimize_fn optimize;
-    if (cached) {
-      optimize = [this, &opt_key, &options](aig& net) {
-        opt_claim claim = claim_opt(opt_key);
+    if (keys) {
+      optimize = [this, keys, &options](aig& net) {
+        opt_claim claim = claim_opt(keys->opt);
         if (!claim.promise) {  // consumer: ready result, or wait for it
           opt_hits.fetch_add(1, std::memory_order_relaxed);
           const auto entry = claim.future.get();  // rethrows producer errors
@@ -445,17 +513,98 @@ struct batch_runner::impl {
           return st;
         } catch (...) {
           claim.promise->set_exception(std::current_exception());
-          abandon_opt(opt_key);  // let later runs retry
+          abandon_opt(keys->opt);  // let later runs retry
           throw;
         }
       };
     }
     auto entry = std::make_shared<const flow_result>(
         run_flow(std::move(network), name, options, observer, optimize));
-    if (cached) store_full(full_key, entry, /*persist=*/true);
+    if (keys) store_full(keys->full, entry, /*persist=*/true);
+    return entry;
+  }
+
+  /// The cached flow over a network whose content hash is known: retain
+  /// the network (when asked), then a memory or disk hit returns the stored
+  /// entry itself and sets `stored`; a miss computes and stores the result.
+  std::shared_ptr<const flow_result> run_built(
+      aig network, std::uint64_t circuit_hash, const std::string& name,
+      const flow_options& options, const stage_observer& observer,
+      bool retain, bool& stored) {
+    if (retain) retain_network(circuit_hash, network);
+    const flow_keys keys =
+        keys_for(circuit_hash, network.num_gates(), name, options);
+    if (auto entry = find_stored(keys.full)) {
+      stored = true;
+      return replay(std::move(entry), observer);
+    }
+    return compute(std::move(network), name, options, observer, &keys);
+  }
+
+  /// The one flow path over an already-built network, on the calling
+  /// thread, with the given tiers when the cache is enabled.
+  std::shared_ptr<const flow_result> run(aig network, const std::string& name,
+                                         const flow_options& caller_options,
+                                         const stage_observer& observer,
+                                         tiers use) {
+    const bool cached =
+        use != tiers::none && cache_enabled.load(std::memory_order_relaxed);
+    const flow_options options = run_options(caller_options, cached, use);
+    if (!cached) {
+      return compute(std::move(network), name, options, observer, nullptr);
+    }
+    const std::uint64_t circuit_hash = network.content_hash();
+    bool stored = false;
+    return run_built(std::move(network), circuit_hash, name, options, observer,
+                     use == tiers::retained, stored);
+  }
+
+  /// batch_runner::run_request: the memo in front of run_built.
+  std::shared_ptr<const flow_result> run_request(
+      const request_source& source, const std::function<aig()>& build,
+      const std::string& name, const flow_options& caller_options,
+      const stage_observer& observer, circuit_facts& facts) {
+    const bool cached = cache_enabled.load(std::memory_order_relaxed);
+    const flow_options options =
+        run_options(caller_options, cached, tiers::retained);
+    if (!cached) {
+      aig network = build();
+      facts = circuit_facts::of(network);
+      return compute(std::move(network), name, options, observer, nullptr);
+    }
+    const std::uint64_t start = trace::now_us();
+    const std::uint64_t hash = source_hash(source);
+    if (const std::optional<circuit_facts> known = recall(hash, source)) {
+      request_hits.fetch_add(1, std::memory_order_relaxed);
+      trace::record("cache.request_hit", start, trace::now_us() - start);
+      facts = *known;
+      // A hit refreshes a retained network; it cannot restore one.
+      touch_retained(facts.content_hash);
+      const flow_keys keys =
+          keys_for(facts.content_hash, facts.gates, name, options);
+      if (auto entry = find_stored(keys.full)) {
+        return replay(std::move(entry), observer);
+      }
+      // The result left both tiers: this request has made its one lookup,
+      // so it builds and recomputes without another.
+      aig network = build();
+      retain_network(facts.content_hash, network);
+      return compute(std::move(network), name, options, observer, &keys);
+    }
+    aig network = build();
+    facts = circuit_facts::of(network);
+    bool stored = false;
+    auto entry = run_built(std::move(network), facts.content_hash, name,
+                           options, observer, /*retain=*/true, stored);
+    if (stored) remember(hash, source, facts);
     return entry;
   }
 };
+
+circuit_facts circuit_facts::of(const aig& network) {
+  return {network.content_hash(), network.num_pis(), network.num_pos(),
+          network.num_registers(), network.num_gates()};
+}
 
 batch_runner::batch_runner(unsigned num_threads) : impl_(new impl) {
   if (num_threads == 0) {
@@ -518,6 +667,12 @@ batch_cache_stats batch_runner::cache_stats() const {
     s.retained_networks = impl_->retained.size();
     s.retained_evictions = impl_->retained_evictions;
   }
+  s.request_hits = impl_->request_hits.load();
+  {
+    std::lock_guard<std::mutex> lock(impl_->memo_mutex);
+    s.request_entries = impl_->memo_lru.size();
+    s.request_bytes = impl_->memo_bytes;
+  }
   return s;
 }
 
@@ -541,10 +696,8 @@ void batch_runner::set_retained_bytes(std::size_t budget) {
 bool batch_runner::drop_entry(std::uint64_t circuit_hash,
                               std::size_t num_gates, const std::string& name,
                               const flow_options& options) {
-  const flow_options keyed = impl_->keyed_options(num_gates, options);
-  const impl::cache_key full_key =
-      impl_->full_key_for(circuit_hash, name, keyed);
-  const impl::cache_key opt_key{circuit_hash, fingerprint(keyed.opt)};
+  const auto [full_key, opt_key] =
+      impl::keys_for(circuit_hash, num_gates, name, options);
   bool dropped = false;
   {
     std::lock_guard<std::mutex> lock(impl_->cache_mutex);
@@ -594,6 +747,13 @@ std::shared_ptr<const flow_result> batch_runner::run_cached_shared(
                     impl::tiers::retained);
 }
 
+std::shared_ptr<const flow_result> batch_runner::run_request(
+    const request_source& source, const std::function<aig()>& build,
+    const std::string& name, const flow_options& options,
+    const stage_observer& observer, circuit_facts& facts) {
+  return impl_->run_request(source, build, name, options, observer, facts);
+}
+
 flow_result batch_runner::run_uncached(aig network, const std::string& name,
                                        const flow_options& options,
                                        const stage_observer& observer) {
@@ -615,6 +775,12 @@ void batch_runner::clear_cache() {
     impl_->retained.clear();
     impl_->retained_lru.clear();
     impl_->retained_bytes = 0;  // retained_evictions stays cumulative
+  }
+  {
+    std::lock_guard<std::mutex> lock(impl_->memo_mutex);
+    impl_->memo_lru.clear();
+    impl_->memo_index.clear();
+    impl_->memo_bytes = 0;  // request_hits stays cumulative
   }
   impl_->region_tier.clear();
 }

@@ -21,14 +21,19 @@
 /// reuses the cached optimized network (the expensive stage).
 ///
 /// Every canned flow is one flow::run_flow call on the calling thread: a
-/// batch entry (run), a served request (run_cached_shared — the daemon's
-/// handler threads share every cache tier, so a warm hit is answered from
-/// the shared cache entry without a pool handoff or a copy), and the cold
-/// ECO comparator (run_uncached).  The cached paths pass the shared-future
-/// optimize tier as run_flow's optimize hook.  A hit returns the stored
-/// result with the timings it was computed with.  The `generate` stage
-/// times the same thing everywhere: handing the already-built network to
-/// the flow.
+/// batch entry (run), a served request (run_request and run_cached_shared —
+/// the daemon's handler threads share every cache tier, so a warm hit is
+/// answered from the shared cache entry without a pool handoff or a copy),
+/// and the cold ECO comparator (run_uncached).  The cached paths pass the
+/// shared-future optimize tier as run_flow's optimize hook.  A hit returns
+/// the stored result with the timings it was computed with.  The `generate`
+/// stage times the same thing everywhere: handing the already-built network
+/// to the flow.
+///
+/// In front of the result tiers, a served request meets the request memo:
+/// the exact bytes its circuit is built from, mapped to the facts of that
+/// circuit, so a repeat is answered from the memory or disk tier without
+/// parsing or generating the circuit at all (run_request).
 
 #include <cstddef>
 #include <cstdint>
@@ -36,6 +41,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flow/flow.hpp"
@@ -109,14 +115,40 @@ struct batch_cache_stats {
   /// v7: quarantined disk-cache files pruned to keep quarantine/ inside its
   /// count/byte bounds (see flow/disk_cache.hpp).
   std::uint64_t disk_quarantine_pruned = 0;
+  // The request memo.  In-process only: the scrape carries none of these.
+  std::uint64_t request_hits = 0;     ///< requests that skipped the build
+  std::uint64_t request_entries = 0;  ///< sources held right now
+  std::uint64_t request_bytes = 0;    ///< their bytes, at most the bound
+};
+
+/// What a served response reports about its input circuit: the content
+/// hash a later synth_delta names as its base, and the sizes on the
+/// `loaded` line.  The gate count also feeds the result key's partition
+/// clamp, so the facts alone locate a stored result.
+struct circuit_facts {
+  std::uint64_t content_hash = 0;
+  std::size_t pis = 0;
+  std::size_t pos = 0;
+  std::size_t registers = 0;
+  std::size_t gates = 0;
+
+  static circuit_facts of(const aig& network);
+};
+
+/// The exact input a served request builds its circuit from: the source
+/// kind and the bytes the builder reads (the netlist text, or the registry
+/// name).  Equal sources build equal circuits.
+struct request_source {
+  std::uint8_t kind = 0;
+  std::string_view bytes;
 };
 
 /// Thread-pool flow executor.  Construct once, run many batches; worker
 /// threads and the result cache persist across run() calls.  The batch and
 /// single-flow entry points (run, run_jobs, run_cached, run_cached_shared,
-/// run_uncached, run_subtasks) are safe from any number of threads at
-/// once: two batches, or a batch beside single flows, each wait only for
-/// their own work.
+/// run_request, run_uncached, run_subtasks) are safe from any number of
+/// threads at once: two batches, or a batch beside single flows, each wait
+/// only for their own work.
 class batch_runner {
  public:
   /// \param num_threads threads that may run a batch's entries, the caller
@@ -171,6 +203,27 @@ class batch_runner {
       aig network, const std::string& name, const flow_options& options,
       const stage_observer& observer = {});
 
+  /// run_cached_shared for a served request whose circuit `build` makes
+  /// from `source`, through the request memo.  A source enters the memo
+  /// once a request of it was built and then served from a result tier (a
+  /// text compiled once and never again does not, nor one whose build
+  /// throws).  A repeat is then answered from the memory or disk tier
+  /// without calling `build`; if its result has left both tiers, it builds
+  /// and recomputes after that one lookup, so every request counts one
+  /// lookup.  `facts` is filled before the flow runs and left alone when
+  /// `build` throws, so a caller can name the circuit of a flow that
+  /// failed.  A cache-disabled runner neither reads nor fills the memo.
+  /// Exceptions from `build` and from the flow propagate.
+  std::shared_ptr<const flow_result> run_request(
+      const request_source& source, const std::function<aig()>& build,
+      const std::string& name, const flow_options& options,
+      const stage_observer& observer, circuit_facts& facts);
+
+  /// Byte bound of the request memo: the stored source bytes plus a fixed
+  /// per-entry overhead.  The least recently used sources leave first; a
+  /// source larger than the bound is never stored.
+  static constexpr std::size_t max_request_memo_bytes = 8u << 20;
+
   /// The canned flow with every cache tier bypassed — no lookups, no stores,
   /// no region cache — executed inline on the calling thread.  This is the
   /// ECO comparator: "what would a cold run of this exact circuit produce",
@@ -214,10 +267,13 @@ class batch_runner {
   void run_subtasks(std::vector<std::function<void()>> tasks);
 
   /// The cross-run result cache is on by default; disabling it also clears
-  /// nothing (re-enable to keep using prior entries).
+  /// nothing (re-enable to keep using prior entries).  The switch covers the
+  /// request memo too.
   void set_cache_enabled(bool enabled);
   bool cache_enabled() const;
   batch_cache_stats cache_stats() const;
+  /// Empties every in-memory tier: results, optimized networks, retained
+  /// networks, regions and the request memo.  The disk tier stays.
   void clear_cache();
 
   /// Attaches the disk-persistent cache tier rooted at `directory` (created

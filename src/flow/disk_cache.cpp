@@ -298,8 +298,10 @@ void disk_result_cache::store(std::uint64_t circuit_key,
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.writes;
   ++entry_count_;
-  // Rescanning the directory per store would make bulk ingestion O(N^2);
-  // the approximate count defers the scan until the cap is plausibly hit.
+  // Rescanning the directory per store would make bulk ingestion O(N^2):
+  // the approximate count defers the scan until the cap is plausibly hit,
+  // and a prune goes down to the low-water mark, so one scan pays for the
+  // next max_entries/8 stores.
   if (max_entries_ != 0 && entry_count_ > max_entries_) prune_locked();
 }
 
@@ -341,7 +343,7 @@ void disk_result_cache::prune_locked() {
   if (entries.size() <= max_entries_) return;
   std::sort(entries.begin(), entries.end(),
             [](const entry& a, const entry& b) { return a.mtime < b.mtime; });
-  const std::size_t excess = entries.size() - max_entries_;
+  const std::size_t excess = entries.size() - low_water_mark();
   for (std::size_t i = 0; i < excess; ++i) {
     std::error_code rec;
     if (fs::remove(entries[i].path, rec)) {

@@ -18,7 +18,9 @@
 /// reader never observes a half-written entry and concurrent daemons sharing
 /// a directory at worst overwrite each other with identical bytes.  Eviction
 /// is by file modification time: when the entry count exceeds the cap after
-/// a store, the oldest entries are pruned.
+/// a store, the oldest entries are pruned down to 7/8 of the cap (the
+/// low-water mark), so the directory scan a prune costs is paid once per
+/// cap/8 stores, not on every store at the cap.
 ///
 /// Construction runs a recovery scan: every entry's header (magic, format
 /// version, embedded keys vs the filename) is verified and mismatches are
@@ -86,6 +88,10 @@ class disk_result_cache {
   disk_cache_stats stats() const;
   const std::string& directory() const { return directory_; }
   std::size_t max_entries() const { return max_entries_; }
+  /// Entries a prune leaves behind: max_entries - max_entries/8.
+  std::size_t low_water_mark() const {
+    return max_entries_ - max_entries_ / 8;
+  }
   /// Where undecodable entries end up (`<directory>/quarantine`); the
   /// directory is created lazily on first quarantine.
   std::string quarantine_directory() const;

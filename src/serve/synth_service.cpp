@@ -12,8 +12,9 @@
 #include "core/xsfq_writer.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/blif_io.hpp"
-#include "util/fault.hpp"
 #include "pulsesim/pulse_sim.hpp"
+#include "util/fault.hpp"
+#include "util/trace.hpp"
 
 namespace xsfq::serve {
 
@@ -85,24 +86,24 @@ flow::flow_options options_for(const synth_request& req) {
 
 namespace {
 
-/// The shared back half of run_synth and run_synth_delta: synthesizes an
-/// already-materialized network under the request's options and renders the
-/// response.  Byte-identity between the submit and delta paths holds because
-/// both funnel through here with nothing but the network differing.
-synth_response run_synth_on(
-    const synth_request& req, aig network, flow::batch_runner& runner,
+/// A request's flow: fills `facts` as soon as the circuit is known, then
+/// returns the result (a stored entry or a fresh one).
+using flow_call = std::function<std::shared_ptr<const flow::flow_result>(
+    const flow::flow_options&, const flow::stage_observer&,
+    flow::circuit_facts&)>;
+
+/// The one renderer behind run_synth and run_synth_delta: runs the
+/// request's flow and renders the response from the circuit's facts and the
+/// flow result alone.  Byte-identity between the submit and delta paths, and
+/// between a memo hit and a parse, holds because every path funnels through
+/// here with nothing but those two differing.
+synth_response respond(
+    const synth_request& req,
     const std::function<void(const progress_event&)>& progress,
-    bool force_full) {
+    const flow_call& run) {
   synth_response resp;
+  flow::circuit_facts facts;
   try {
-    std::ostringstream report;
-    report << "loaded " << req.spec << ": " << network.num_pis() << " PI, "
-           << network.num_pos() << " PO, " << network.num_registers()
-           << " FF, " << network.num_gates() << " AIG nodes\n";
-
-    const flow::flow_options options = options_for(req);
-    resp.content_hash = network.content_hash();
-
     bool any_live_stage = false;
     bool any_stage = false;
     const flow::stage_observer observer = [&](const progress_event& ev) {
@@ -113,16 +114,16 @@ synth_response run_synth_on(
     // The flow runs on the calling thread — the daemon's connection handler
     // — with no pool handoff: admission control already bounds how many
     // handlers synthesize at once, and a warm hit renders straight out of
-    // the shared cache entry without copying it.  force_full is the ECO
-    // comparator, the identical flow with every cache tier bypassed.
+    // the shared cache entry without copying it.
     const std::shared_ptr<const flow::flow_result> shared =
-        force_full ? std::make_shared<const flow::flow_result>(
-                         runner.run_uncached(std::move(network), req.spec,
-                                             options, observer))
-                   : runner.run_cached_shared(std::move(network), req.spec,
-                                              options, observer);
+        run(options_for(req), observer, facts);
     const flow::flow_result& r = *shared;
+    resp.content_hash = facts.content_hash;
 
+    std::ostringstream report;
+    report << "loaded " << req.spec << ": " << facts.pis << " PI, "
+           << facts.pos << " PO, " << facts.registers << " FF, "
+           << facts.gates << " AIG nodes\n";
     report << "optimized: " << r.opt_stats.initial_gates << " -> "
            << r.opt_stats.final_gates << " nodes (depth "
            << r.opt_stats.initial_depth << " -> " << r.opt_stats.final_depth
@@ -171,8 +172,29 @@ synth_response run_synth_on(
   } catch (const std::exception& e) {
     resp.ok = false;
     resp.error = e.what();
+    resp.content_hash = facts.content_hash;  // 0 when nothing was built
   }
   return resp;
+}
+
+/// load_request_circuit under a `serve.load` span.
+aig load_traced(const synth_request& req) {
+  const trace::scoped_span span("serve.load");
+  return load_request_circuit(req);
+}
+
+/// The request memo's key: the source kind and exactly the bytes
+/// load_request_circuit reads.
+flow::request_source request_source_of(const synth_request& req) {
+  const auto kind = static_cast<std::uint8_t>(req.source);
+  switch (req.source) {
+    case circuit_source::bench_text:
+    case circuit_source::blif_text:
+      return {kind, req.source_text};
+    case circuit_source::registry:
+    default:
+      return {kind, req.spec};
+  }
 }
 
 }  // namespace
@@ -180,17 +202,15 @@ synth_response run_synth_on(
 synth_response run_synth(
     const synth_request& req, flow::batch_runner& runner,
     const std::function<void(const progress_event&)>& progress) {
-  aig network;
-  try {
-    network = load_request_circuit(req);
-  } catch (const std::exception& e) {
-    synth_response resp;
-    resp.ok = false;
-    resp.error = e.what();
-    return resp;
-  }
-  return run_synth_on(req, std::move(network), runner, progress,
-                      /*force_full=*/false);
+  const auto load = [&req] { return load_traced(req); };
+  return respond(req, progress,
+                 [&](const flow::flow_options& options,
+                     const flow::stage_observer& observer,
+                     flow::circuit_facts& facts) {
+                   return runner.run_request(request_source_of(req), load,
+                                             req.spec, options, observer,
+                                             facts);
+                 });
 }
 
 synth_response run_synth_delta(
@@ -218,7 +238,7 @@ synth_response run_synth_delta(
     out.base_retained = true;
   } else {
     try {
-      base = load_request_circuit(req.base);
+      base = load_traced(req.base);
     } catch (const std::exception& e) {
       throw service_error(error_code::unknown_base,
                           "base network not retained and the request's "
@@ -248,8 +268,20 @@ synth_response run_synth_delta(
     throw service_error(error_code::bad_edit, e.what());
   }
 
-  synth_response resp = run_synth_on(req.base, std::move(base), runner,
-                                     progress, req.force_full);
+  // force_full is the ECO comparator: the identical flow with every cache
+  // tier bypassed.
+  synth_response resp = respond(
+      req.base, progress,
+      [&](const flow::flow_options& options,
+          const flow::stage_observer& observer, flow::circuit_facts& facts) {
+        facts = flow::circuit_facts::of(base);
+        if (req.force_full) {
+          return std::make_shared<const flow::flow_result>(runner.run_uncached(
+              std::move(base), req.base.spec, options, observer));
+        }
+        return runner.run_cached_shared(std::move(base), req.base.spec,
+                                        options, observer);
+      });
 
   // Supersede: the interactive session has edited the base away, so its
   // cache entries (memory + disk) would never be requested again.  An empty

@@ -10,10 +10,11 @@
 /// deterministic output (everything except the wall-clock timing lines) by
 /// construction rather than by parallel maintenance of two printers.
 ///
-/// Requests run on the calling thread through batch_runner::run_cached_shared,
-/// which is safe from any number of concurrent callers and applies every
-/// result-cache tier (memory, in-flight optimize dedup, disk); the runner's
-/// pool only serves a partitioned optimize's subtasks.
+/// Submits run on the calling thread through batch_runner::run_request,
+/// which is safe from any number of concurrent callers and applies the
+/// request memo and every result-cache tier (memory, in-flight optimize
+/// dedup, disk); the runner's pool only serves a partitioned optimize's
+/// subtasks.
 
 #include <string>
 #include <string_view>
@@ -41,9 +42,12 @@ flow::flow_options options_for(const synth_request& req);
 
 /// Runs one request on the calling thread with all cache tiers applied and
 /// renders the full response, including the deterministic report text and
-/// any requested Verilog/DOT payloads.  `progress` (optional) receives one
-/// event per stage, on the calling thread.  Never throws for request-level
-/// failures: they come back as ok=false.
+/// any requested Verilog/DOT payloads.  A repeat of a request the runner
+/// served from a result tier is answered from its request memo without
+/// loading the circuit; the circuit load is a `serve.load` span, a memo hit
+/// a `cache.request_hit` span.  `progress` (optional) receives one event per
+/// stage, on the calling thread.  Never throws for request-level failures:
+/// they come back as ok=false.
 synth_response run_synth(const synth_request& req, flow::batch_runner& runner,
                          const std::function<void(const progress_event&)>&
                              progress = {});

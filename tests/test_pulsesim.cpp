@@ -6,6 +6,9 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
 
 namespace xsfq {
 namespace {
@@ -75,9 +78,37 @@ TEST(PulseSim, CombinationalExhaustiveAllPolarities) {
   }
 }
 
-class PulseSimBenchmarks
-    : public ::testing::TestWithParam<std::tuple<const char*, polarity_mode>> {
+/// One registry circuit under one polarity mode.  Printed and named as
+/// `<circuit>_<mode>`, so the test ids stay the same from build to build.
+struct pulse_case {
+  const char* circuit;
+  polarity_mode mode;
 };
+
+std::string case_name(const pulse_case& c) {
+  const char* mode = c.mode == polarity_mode::direct_dual_rail ? "direct"
+                     : c.mode == polarity_mode::positive_outputs
+                         ? "positive"
+                         : "optimized";
+  return std::string(c.circuit) + "_" + mode;
+}
+
+void PrintTo(const pulse_case& c, std::ostream* os) { *os << case_name(c); }
+
+std::vector<pulse_case> pulse_cases() {
+  std::vector<pulse_case> cases;
+  for (const char* circuit :
+       {"c432", "cavlc", "int2float", "ctrl", "router", "voter_sop"}) {
+    for (const auto mode :
+         {polarity_mode::direct_dual_rail, polarity_mode::positive_outputs,
+          polarity_mode::optimized}) {
+      cases.push_back({circuit, mode});
+    }
+  }
+  return cases;
+}
+
+class PulseSimBenchmarks : public ::testing::TestWithParam<pulse_case> {};
 
 TEST_P(PulseSimBenchmarks, MappedNetlistMatchesGoldenAig) {
   const auto [name, mode] = GetParam();
@@ -90,12 +121,10 @@ TEST_P(PulseSimBenchmarks, MappedNetlistMatchesGoldenAig) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Suites, PulseSimBenchmarks,
-    ::testing::Combine(::testing::Values("c432", "cavlc", "int2float", "ctrl",
-                                         "router", "voter_sop"),
-                       ::testing::Values(polarity_mode::direct_dual_rail,
-                                         polarity_mode::positive_outputs,
-                                         polarity_mode::optimized)));
+    Suites, PulseSimBenchmarks, ::testing::ValuesIn(pulse_cases()),
+    [](const ::testing::TestParamInfo<pulse_case>& info) {
+      return case_name(info.param);
+    });
 
 TEST(PulseSim, PipelinedCircuitsStayCorrect) {
   const aig g = optimize(benchgen::make_benchmark("c1908"));

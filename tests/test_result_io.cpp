@@ -402,6 +402,46 @@ TEST(DiskCache, EvictsOldestBeyondMaxEntries) {
   EXPECT_TRUE(cache.load(3, 3).has_value());
 }
 
+TEST(DiskCache, PrunesDownToTheLowWaterMark) {
+  // A prune scans and stats the whole directory.  Going down to 7/8 of the
+  // cap, not to the cap itself, keeps the next cap/8 stores from paying for
+  // another scan each.
+  temp_dir dir;
+  const std::string cache_dir = dir.path + "/cache";
+  flow::disk_result_cache cache(cache_dir, /*max_entries=*/16);
+  const flow::flow_result result = flow::run_flow("c432");
+  const auto path = [&](std::size_t i) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "/%016zx-%016zx.xfr", i, i);
+    return cache_dir + name;
+  };
+  const auto live_entries = [&] {
+    std::size_t n = 0;
+    for (const auto& de : fs::directory_iterator(cache_dir)) {
+      n += de.path().extension() == ".xfr";
+    }
+    return n;
+  };
+  // Distinct mtimes in the past, oldest first, so the order is exact.
+  const auto past = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  for (std::size_t i = 1; i <= 16; ++i) {
+    cache.store(i, i, result);
+    fs::last_write_time(path(i), past + std::chrono::minutes(i));
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(live_entries(), 16u);
+
+  cache.store(17, 17, result);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(live_entries(), 14u);
+  for (std::size_t i = 1; i <= 3; ++i) EXPECT_FALSE(fs::exists(path(i))) << i;
+  for (std::size_t i = 4; i <= 17; ++i) EXPECT_TRUE(fs::exists(path(i))) << i;
+
+  cache.store(18, 18, result);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(live_entries(), 15u);
+}
+
 TEST(DiskCache, QuarantineIsBoundedOldestFirst) {
   // A corruption storm (failing disk, bad RAM) must not fill the volume
   // with quarantined evidence: quarantine/ is capped, oldest-first.  Seed

@@ -1526,6 +1526,58 @@ TEST(ServeEndToEnd, TracedSubmitCollectsSpansThatAddUp) {
   EXPECT_GE(stats.trace_spans_recorded, reply.spans.size());
 }
 
+TEST(ServeEndToEnd, TracedTextSubmitsShowTheLoadOrTheMemoHit) {
+  // The frontend is a span: `serve.load` while the daemon parses an inline
+  // netlist, `cache.request_hit` when its request memo answers instead.
+  server_fixture fx;
+  fx.start();
+  client cli(fx.socket_path());
+  synth_request req;
+  req.spec = "inline.bench";
+  req.source = circuit_source::bench_text;
+  req.model = "inline";
+  req.source_text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n";
+  req.trace_hi = 0x10ad;
+  const auto traced_submit = [&](std::uint64_t lo) {
+    req.trace_lo = lo;
+    const synth_response resp = cli.submit(req);
+    EXPECT_TRUE(resp.ok) << resp.error;
+    std::map<std::string, std::size_t> count;
+    std::uint64_t total_start = 0, total_end = 0;
+    const trace_reply reply = cli.trace({req.trace_hi, lo});
+    for (const auto& s : reply.spans) {
+      ++count[s.name];
+      if (s.name == "request_total") {
+        total_start = s.start_us;
+        total_end = s.start_us + s.dur_us;
+      }
+    }
+    for (const auto& s : reply.spans) {
+      if (s.name != "serve.load" && s.name != "cache.request_hit") continue;
+      EXPECT_GE(s.start_us, total_start) << s.name;
+      EXPECT_LE(s.start_us + s.dur_us, total_end) << s.name;
+    }
+    return count;
+  };
+
+  // First submit: parsed and compiled.
+  auto spans = traced_submit(1);
+  EXPECT_EQ(spans["serve.load"], 1u);
+  EXPECT_EQ(spans["cache.request_hit"], 0u);
+  // Second: parsed, then served from the memory tier, which enters the
+  // text into the memo.
+  spans = traced_submit(2);
+  EXPECT_EQ(spans["serve.load"], 1u);
+  EXPECT_EQ(spans["cache.request_hit"], 0u);
+  EXPECT_EQ(spans["cache.full_hit"], 1u);
+  // The repeat: answered from the memo, nothing parsed.
+  spans = traced_submit(3);
+  EXPECT_EQ(spans["serve.load"], 0u);
+  EXPECT_EQ(spans["cache.request_hit"], 1u);
+  EXPECT_EQ(spans["cache.full_hit"], 1u);
+  EXPECT_EQ(fx.srv->stats().cache.request_hits, 1u);
+}
+
 TEST(ServeEndToEnd, ScrapeHistogramsFoldTheTracedSpans) {
   // The scrape's histograms and a request's trace are one record: every
   // sample is written from the same start and duration as its span, and a
