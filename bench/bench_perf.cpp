@@ -40,6 +40,7 @@
 #include "benchgen/blocks.hpp"
 #include "benchgen/registry.hpp"
 #include "core/mapper.hpp"
+#include "core/xsfq_writer.hpp"
 #include "flow/batch_runner.hpp"
 #include "flow/flow.hpp"
 #include "flow/result_io.hpp"
@@ -484,6 +485,12 @@ void opt_rows(driver& d, const aig& g) {
                 {"fa", mapped.stats.fa_cells},
                 {"splitters", mapped.stats.splitters},
                 {"jj", mapped.stats.jj}};
+
+  std::string verilog;
+  row& v = d.measure("core", c, "write_verilog", reps, 16, true, timing([&] {
+                       verilog = write_xsfq_verilog_string(mapped, c);
+                     }));
+  v.counters = {{"bytes", verilog.size()}};
 
   rsfq_stats rsfq;
   row& b = d.measure("baseline", c, "rsfq", reps, 16, true,

@@ -6,25 +6,25 @@
 /// becomes a cell instance referencing the Table 2 library (LA, FA, SPLIT,
 /// DROC, DROC_P), so the output can enter a superconducting place-and-route
 /// flow or be inspected graphically.
+///
+/// Each writer makes two passes over the netlist: the first adds up the
+/// output's length, the second writes it into one string of exactly that
+/// size.
 
-#include <iosfwd>
 #include <string>
 
 #include "core/mapper.hpp"
 
 namespace xsfq {
 
-/// Writes the mapped netlist as structural Verilog.  Register feedback arcs
-/// close the loops; the trigger and clock are exposed as module ports.
-void write_xsfq_verilog(const mapping_result& mapped,
-                        const std::string& module_name, std::ostream& os);
+/// The mapped netlist as structural Verilog.  Register feedback arcs close
+/// the loops; the trigger and clock are exposed as module ports.  The module
+/// and port names are sanitized into Verilog identifiers.
 std::string write_xsfq_verilog_string(const mapping_result& mapped,
                                       const std::string& module_name);
 
-/// Writes the mapped netlist as a Graphviz digraph (cells as boxes, rails
-/// as edges; DROC ranks annotated).
-void write_xsfq_dot(const mapping_result& mapped, std::ostream& os,
-                    const std::string& graph_name = "xsfq");
+/// The mapped netlist as a Graphviz digraph (cells as boxes, rails as
+/// edges; DROC ranks annotated).
 std::string write_xsfq_dot_string(const mapping_result& mapped,
                                   const std::string& graph_name = "xsfq");
 

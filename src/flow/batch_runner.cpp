@@ -328,8 +328,10 @@ struct batch_runner::impl {
   }
 
   /// The stored result for `key` from memory, else from the disk tier
-  /// (promoted into memory), else nullptr.
-  std::shared_ptr<const flow_result> find_stored(const cache_key& key) {
+  /// (promoted into memory), else nullptr.  `before_disk` (optional) runs
+  /// right before the disk tier is read.
+  std::shared_ptr<const flow_result> find_stored(
+      const cache_key& key, const std::function<void()>& before_disk = {}) {
     const std::uint64_t mem_start = trace::now_us();
     std::shared_ptr<const flow_result> entry;
     {
@@ -344,6 +346,7 @@ struct batch_runner::impl {
     }
     full_misses.fetch_add(1, std::memory_order_relaxed);
     if (!disk) return nullptr;
+    if (before_disk) before_disk();
     const std::uint64_t disk_start = trace::now_us();
     auto loaded = disk->load(key.circuit, key.options);
     trace::record(loaded ? "cache.disk_hit" : "cache.disk_miss", disk_start,
@@ -563,11 +566,19 @@ struct batch_runner::impl {
   std::shared_ptr<const flow_result> run_request(
       const request_source& source, const std::function<aig()>& build,
       const std::string& name, const flow_options& caller_options,
-      const stage_observer& observer, circuit_facts& facts) {
+      const stage_observer& observer, circuit_facts& facts,
+      const std::function<void()>& admit) {
+    // Runs `admit` once, before the first step that is more than a memo or
+    // memory-tier lookup.
+    bool admitted = false;
+    const std::function<void()> work = [&] {
+      if (!std::exchange(admitted, true) && admit) admit();
+    };
     const bool cached = cache_enabled.load(std::memory_order_relaxed);
     const flow_options options =
         run_options(caller_options, cached, tiers::retained);
     if (!cached) {
+      work();
       aig network = build();
       facts = circuit_facts::of(network);
       return compute(std::move(network), name, options, observer, nullptr);
@@ -582,15 +593,17 @@ struct batch_runner::impl {
       touch_retained(facts.content_hash);
       const flow_keys keys =
           keys_for(facts.content_hash, facts.gates, name, options);
-      if (auto entry = find_stored(keys.full)) {
+      if (auto entry = find_stored(keys.full, work)) {
         return replay(std::move(entry), observer);
       }
       // The result left both tiers: this request has made its one lookup,
       // so it builds and recomputes without another.
+      work();
       aig network = build();
       retain_network(facts.content_hash, network);
       return compute(std::move(network), name, options, observer, &keys);
     }
+    work();
     aig network = build();
     facts = circuit_facts::of(network);
     bool stored = false;
@@ -750,8 +763,10 @@ std::shared_ptr<const flow_result> batch_runner::run_cached_shared(
 std::shared_ptr<const flow_result> batch_runner::run_request(
     const request_source& source, const std::function<aig()>& build,
     const std::string& name, const flow_options& options,
-    const stage_observer& observer, circuit_facts& facts) {
-  return impl_->run_request(source, build, name, options, observer, facts);
+    const stage_observer& observer, circuit_facts& facts,
+    const std::function<void()>& admit) {
+  return impl_->run_request(source, build, name, options, observer, facts,
+                            admit);
 }
 
 flow_result batch_runner::run_uncached(aig network, const std::string& name,

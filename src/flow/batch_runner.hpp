@@ -213,11 +213,16 @@ class batch_runner {
   /// lookup.  `facts` is filled before the flow runs and left alone when
   /// `build` throws, so a caller can name the circuit of a flow that
   /// failed.  A cache-disabled runner neither reads nor fills the memo.
-  /// Exceptions from `build` and from the flow propagate.
+  /// `admit` (optional) runs at most once, right before the first step that
+  /// is not a memo or memory-tier lookup: the build, a disk-tier load or a
+  /// flow stage.  A request the memo and the memory tier answer never calls
+  /// it; the daemon takes an execution slot there.  Exceptions from `admit`,
+  /// from `build` and from the flow propagate.
   std::shared_ptr<const flow_result> run_request(
       const request_source& source, const std::function<aig()>& build,
       const std::string& name, const flow_options& options,
-      const stage_observer& observer, circuit_facts& facts);
+      const stage_observer& observer, circuit_facts& facts,
+      const std::function<void()>& admit = {});
 
   /// Byte bound of the request memo: the stored source bytes plus a fixed
   /// per-entry overhead.  The least recently used sources leave first; a

@@ -3,11 +3,13 @@
 /// \brief Bounded, priority-ordered admission control for the serving path.
 ///
 /// One `admission_queue` sits between the connection handlers and the
-/// batch_runner: every `submit` must acquire a slot before it may dispatch
-/// work.  At most `max_inflight` requests execute at once; up to `max_queue`
-/// more wait in priority order (highest `priority` first, FIFO within a
-/// priority); anything beyond that is rejected immediately with
-/// `overloaded` instead of accepting unbounded work.  A waiting request
+/// batch_runner: a request must acquire a slot before it does work (builds
+/// its circuit, loads from the disk tier or runs a flow stage); a repeat
+/// answered from the request memo and the memory tier takes none.  At most
+/// `max_inflight` requests execute at once; up to `max_queue` more wait in
+/// priority order (highest `priority` first, FIFO within a priority);
+/// anything beyond that is rejected immediately with `overloaded` instead
+/// of accepting unbounded work.  A waiting request
 /// whose relative deadline passes before a slot frees is failed with
 /// `deadline_expired` without ever reaching the worker pool.
 ///

@@ -507,6 +507,7 @@ void server::record_span(std::string_view name, std::uint64_t start_us,
 
 void server::handle_request(const connection& conn, const frame& f,
                             const send_fn& send) {
+  const std::uint64_t started_us = trace::now_us();
   // A delta nests a complete submit request as its base, so one
   // synth_delta_request carries either kind; only the run call and the
   // eco_* counters below depend on which kind arrived.
@@ -535,31 +536,43 @@ void server::handle_request(const connection& conn, const frame& f,
     start.kv("trace_id", tid_hex);
   }
 
-  const std::uint64_t admit_start = trace::now_us();
-  const auto ticket = admission_.acquire(req.priority, req.deadline_ms);
-  record_span("queue_wait", admit_start, trace::now_us() - admit_start);
-  if (ticket.outcome != admission_queue::verdict::admitted) {
+  // Takes an execution slot, or fills `shed` with the typed error frame the
+  // client gets instead and throws.  A submit calls it from the runner at
+  // its first step that does work, so a repeat the memo and the memory tier
+  // answer never queues; a delta or a --validate submit always has work and
+  // calls it up front.
+  bool admitted = false;
+  std::vector<std::uint8_t> shed;
+  const auto admit = [&] {
+    if (admitted) return;
+    const std::uint64_t admit_start = trace::now_us();
+    const auto ticket = admission_.acquire(req.priority, req.deadline_ms);
+    record_span("queue_wait", admit_start, trace::now_us() - admit_start);
+    if (ticket.outcome == admission_queue::verdict::admitted) {
+      admitted = true;
+      return;
+    }
     const bool overloaded =
         ticket.outcome == admission_queue::verdict::overloaded;
-    jobs_failed_.fetch_add(1);
     log::line(log::level::warn, "request.shed")
         .kv("conn", conn.id)
         .kv("reason", overloaded ? "overloaded" : "deadline_expired")
         .kv("queued_ms", ticket.queued_ms)
         .kv("trace_id", tid_hex);
-    send(msg_type::error,
-         overloaded
-             ? encode_error(error_code::overloaded,
-                            "admission queue full (max_queue=" +
-                                std::to_string(options_.max_queue) +
-                                "); retry later",
-                            retry_after_hint_ms())
-             : encode_error(error_code::deadline_expired,
-                            "deadline passed after " +
-                                std::to_string(ticket.queued_ms) +
-                                " ms in the admission queue"));
-    return;
-  }
+    shed = overloaded
+               ? encode_error(error_code::overloaded,
+                              "admission queue full (max_queue=" +
+                                  std::to_string(options_.max_queue) +
+                                  "); retry later",
+                              retry_after_hint_ms())
+               : encode_error(error_code::deadline_expired,
+                              "deadline passed after " +
+                                  std::to_string(ticket.queued_ms) +
+                                  " ms in the admission queue");
+    throw service_error(overloaded ? error_code::overloaded
+                                   : error_code::deadline_expired,
+                        "shed by admission control");
+  };
 
   // Every event happens on this thread strictly before the run returns, so
   // progress frames never interleave with the result frame below.
@@ -576,18 +589,22 @@ void server::handle_request(const connection& conn, const frame& f,
       send(msg_type::progress, encode_progress_event(ev));
     }
   };
-  const std::uint64_t started_us = trace::now_us();
   synth_response resp;
   eco_outcome outcome;
   try {
+    if (is_delta || req.validate) admit();
     resp = is_delta ? run_synth_delta(delta, *runner_, progress, &outcome)
-                    : run_synth(req, *runner_, progress);
+                    : run_synth(req, *runner_, progress, admit);
   } catch (const service_error& e) {
+    jobs_failed_.fetch_add(1);
+    if (!admitted) {  // shed by the admission queue; the hook logged why
+      send(msg_type::error, shed);
+      return;
+    }
     // unknown_base / bad_edit, thrown only by deltas: the client's
     // mistake, typed so an interactive session can resubmit the full
     // circuit instead.
     admission_.release();
-    jobs_failed_.fetch_add(1);
     eco_failures_.fetch_add(1);
     log::line(log::level::warn, "request.error")
         .kv("conn", conn.id)
@@ -597,10 +614,10 @@ void server::handle_request(const connection& conn, const frame& f,
     send(msg_type::error, encode_error(e.code, e.what()));
     return;
   } catch (...) {
-    admission_.release();
+    if (admitted) admission_.release();
     throw;
   }
-  admission_.release();
+  if (admitted) admission_.release();
   const std::uint64_t total_us = trace::now_us() - started_us;
   record_span("request_total", started_us, total_us);
   if (outcome.base_retained) eco_retained_hits_.fetch_add(1);
@@ -612,6 +629,7 @@ void server::handle_request(const connection& conn, const frame& f,
       .kv("spec", req.spec)
       .kv("ok", resp.ok)
       .kv("cached", resp.served_from_cache)
+      .kv("admitted", admitted)
       .kv("retained", outcome.base_retained)
       .kv("ms", static_cast<double>(total_us) / 1000.0)
       .kv("trace_id", tid_hex);

@@ -13,17 +13,21 @@
 /// Each accepted connection gets a handler thread, capped at `max_conns`
 /// (excess connections receive a typed `too_many_connections` error and are
 /// closed before a thread is spawned).  `submit` and `synth_delta` share one
-/// request path: the bounded priority/deadline admission queue
-/// (serve/admission.hpp), then the flow on the handler thread itself
-/// against the shared runner's cache tiers, so N clients synthesizing
-/// concurrently de-duplicate identical in-flight optimize stages through the
+/// request path: the flow runs on the handler thread itself against the
+/// shared runner's cache tiers, so N clients synthesizing concurrently
+/// de-duplicate identical in-flight optimize stages through the
 /// shared-future tier and hit each other's cached results, and a warm hit
-/// renders straight from the shared cache entry.  The runner's pool only
-/// serves partitioned-optimize subtasks.  Every span the daemon records
-/// (queue wait, each flow stage, end-to-end, each frame sent) goes through
-/// one helper that writes the flight-recorder span and, from the same start
-/// and duration, one sample into a server-wide log-bucket histogram set —
-/// so the `server_stats` scrape and a request's trace cannot disagree.
+/// renders straight from the shared cache entry.  A request takes a slot of
+/// the bounded priority/deadline admission queue (serve/admission.hpp) at
+/// its first step that does work — a build, a disk-tier load or a flow
+/// stage — so a repeat the request memo and the memory tier answer never
+/// queues; deltas and --validate submits take theirs up front.  The
+/// runner's pool only serves partitioned-optimize subtasks.  Every span the
+/// daemon records (queue wait, each flow stage, end-to-end, each frame sent)
+/// goes through one helper that writes the flight-recorder span and, from
+/// the same start and duration, one sample into a server-wide log-bucket
+/// histogram set — so the `server_stats` scrape and a request's trace
+/// cannot disagree.
 ///
 /// Shutdown is a drain, triggered either by stop() (the daemon calls it on
 /// SIGINT/SIGTERM) or by a client's `shutdown` request: the listeners
@@ -71,7 +75,9 @@ struct server_options {
   /// server_stats.
   std::size_t retained_bytes = 256u << 20;
   std::size_t max_queue = 64;     ///< admission waiters before shedding
-  std::size_t max_inflight = 0;   ///< concurrent submits; 0 = worker count
+  /// Requests doing work at once; 0 = worker count.  Memory hits take no
+  /// slot, so only max_conns bounds them.
+  std::size_t max_inflight = 0;
   std::size_t max_conns = 256;    ///< concurrent connections before bouncing
   /// Per-connection I/O deadline in ms (<= 0 disables).  Bounds every read
   /// once a frame has started arriving and every write: a peer that stalls
@@ -129,8 +135,9 @@ class server {
 
   void accept_loop(int listen_fd, bool is_tcp);
   void handle_connection(const std::shared_ptr<connection>& conn);
-  /// The one request path of `submit` and `synth_delta`: admission, the run
-  /// on this handler thread, and exactly one terminal frame through `send`.
+  /// The one request path of `submit` and `synth_delta`: the run on this
+  /// handler thread, admission at its first step that does work, and
+  /// exactly one terminal frame through `send`.
   void handle_request(const connection& conn, const frame& f,
                       const send_fn& send);
   /// Records one span: the flight-recorder entry (util/trace.hpp) and, from

@@ -96,7 +96,9 @@ using flow_call = std::function<std::shared_ptr<const flow::flow_result>(
 /// request's flow and renders the response from the circuit's facts and the
 /// flow result alone.  Byte-identity between the submit and delta paths, and
 /// between a memo hit and a parse, holds because every path funnels through
-/// here with nothing but those two differing.
+/// here with nothing but those two differing.  A service_error (the daemon's
+/// admission hook shedding the request) propagates; any other failure
+/// becomes an ok=false response.
 synth_response respond(
     const synth_request& req,
     const std::function<void(const progress_event&)>& progress,
@@ -113,12 +115,15 @@ synth_response respond(
     };
     // The flow runs on the calling thread — the daemon's connection handler
     // — with no pool handoff: admission control already bounds how many
-    // handlers synthesize at once, and a warm hit renders straight out of
-    // the shared cache entry without copying it.
+    // handlers do work at once, and a warm hit renders straight out of the
+    // shared cache entry without copying it.
     const std::shared_ptr<const flow::flow_result> shared =
         run(options_for(req), observer, facts);
     const flow::flow_result& r = *shared;
     resp.content_hash = facts.content_hash;
+    // The response build: the report, a --validate verdict (with its
+    // pulse-level check) and the Verilog/DOT payloads.
+    const trace::scoped_span render_span("serve.render");
 
     std::ostringstream report;
     report << "loaded " << req.spec << ": " << facts.pis << " PI, "
@@ -169,6 +174,8 @@ synth_response respond(
       resp.dot = write_xsfq_dot_string(r.mapped);
     }
     resp.ok = true;
+  } catch (const service_error&) {
+    throw;
   } catch (const std::exception& e) {
     resp.ok = false;
     resp.error = e.what();
@@ -201,7 +208,8 @@ flow::request_source request_source_of(const synth_request& req) {
 
 synth_response run_synth(
     const synth_request& req, flow::batch_runner& runner,
-    const std::function<void(const progress_event&)>& progress) {
+    const std::function<void(const progress_event&)>& progress,
+    const std::function<void()>& admit) {
   const auto load = [&req] { return load_traced(req); };
   return respond(req, progress,
                  [&](const flow::flow_options& options,
@@ -209,7 +217,7 @@ synth_response run_synth(
                      flow::circuit_facts& facts) {
                    return runner.run_request(request_source_of(req), load,
                                              req.spec, options, observer,
-                                             facts);
+                                             facts, admit);
                  });
 }
 

@@ -45,12 +45,16 @@ flow::flow_options options_for(const synth_request& req);
 /// any requested Verilog/DOT payloads.  A repeat of a request the runner
 /// served from a result tier is answered from its request memo without
 /// loading the circuit; the circuit load is a `serve.load` span, a memo hit
-/// a `cache.request_hit` span.  `progress` (optional) receives one event per
-/// stage, on the calling thread.  Never throws for request-level failures:
-/// they come back as ok=false.
+/// a `cache.request_hit` span, the response build a `serve.render` span.
+/// `progress` (optional) receives one event per stage, on the calling
+/// thread.  `admit` (optional) is batch_runner::run_request's hook: it runs
+/// once, before the first step that is more than a memo or memory-tier
+/// lookup, and a service_error it throws propagates.  Never throws for
+/// request-level failures: they come back as ok=false.
 synth_response run_synth(const synth_request& req, flow::batch_runner& runner,
                          const std::function<void(const progress_event&)>&
-                             progress = {});
+                             progress = {},
+                         const std::function<void()>& admit = {});
 
 /// How a delta request located its base network — the server's eco_*
 /// counters distinguish the fast path (retained) from the rebuild.

@@ -8,9 +8,13 @@
 #include "serve/fleet.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -283,24 +287,79 @@ TEST(FleetFaults, TypedIoTimeoutCountsOneEndpointFailure) {
   EXPECT_EQ(statuses[0].failures, 1u);
 }
 
+/// A Unix-socket endpoint that never answers: the kernel completes each
+/// connection from the listen backlog, and nothing ever reads or replies.
+struct silent_endpoint {
+  std::string path;
+  int fd = -1;
+
+  explicit silent_endpoint(std::string socket_path)
+      : path(std::move(socket_path)) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0 ||
+        ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+            0 ||
+        ::listen(fd, 16) != 0) {
+      ADD_FAILURE() << "cannot listen on " << path;
+    }
+  }
+  ~silent_endpoint() {
+    if (fd >= 0) ::close(fd);
+    ::unlink(path.c_str());
+  }
+  silent_endpoint(const silent_endpoint&) = delete;
+  silent_endpoint& operator=(const silent_endpoint&) = delete;
+};
+
 TEST(FleetEndToEnd, HedgedSendAbandonsSlowShardAndWinsOnReplica) {
-  fleet_fixture fx(2);
+  // The slow request's primary owner accepts and never replies, so under
+  // any load its first attempt outlasts the ~1 ms hedge deadline: the hedge
+  // fires and the replica, a real daemon, completes the request.
+  temp_dir dir;
+  const synth_request sample = make_request_for_spec("c432");
+  const synth_request slow = make_request_for_spec("c6288");
+  const std::uint64_t sample_key = fleet_client::routing_key(sample);
+  const std::uint64_t slow_key = fleet_client::routing_key(slow);
+
+  // Name the two sockets so that the silent one is the slow request's
+  // primary owner and the daemon the sample's: about one pair of names in
+  // four places them so.
+  endpoint primary;
+  endpoint replica;
+  for (int i = 0; i < 256; ++i) {
+    primary.socket_path = dir.path + "/silent" + std::to_string(i) + ".sock";
+    replica.socket_path = dir.path + "/replica" + std::to_string(i) + ".sock";
+    const fleet_client ring({primary, replica}, test_options());
+    if (ring.owners_for(slow_key)[0] == fleet_client::endpoint_id(primary) &&
+        ring.owners_for(sample_key)[0] == fleet_client::endpoint_id(replica)) {
+      break;
+    }
+  }
+  const silent_endpoint silent(primary.socket_path);
+  server_options server_opts;
+  server_opts.socket_path = replica.socket_path;
+  server_opts.threads = 2;
+  server srv(server_opts);
+
   fleet_options options = test_options();
   // Arm hedging after a single sample, with a floor so low every first
-  // attempt runs under a ~1 ms deadline — a cold c6288 synthesis cannot
-  // finish in that, so the hedge deterministically fires and the replica
-  // completes the request.
+  // attempt runs under a ~1 ms deadline.
   options.hedge_min_samples = 1;
   options.hedge_floor_ms = 0.001;
   options.hedge_multiplier = 1e-9;
-  fleet_client fleet(fx.endpoints(), options);
+  fleet_client fleet({primary, replica}, options);
+  ASSERT_EQ(fleet.owners_for(slow_key)[0], fleet_client::endpoint_id(primary));
+  ASSERT_EQ(fleet.owners_for(sample_key)[0],
+            fleet_client::endpoint_id(replica));
 
   flow::batch_runner local(2);
-  const synth_request slow = make_request_for_spec("c6288");
   const synth_response expected = run_synth(slow, local);
   ASSERT_TRUE(expected.ok);
 
-  ASSERT_TRUE(fleet.submit(make_request_for_spec("c432")).ok);  // 1st sample
+  ASSERT_TRUE(fleet.submit(sample).ok);  // 1st sample
   const synth_response r = fleet.submit(slow);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.report, expected.report);

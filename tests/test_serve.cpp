@@ -1317,6 +1317,159 @@ TEST(ServeEndToEnd, DeadlineExpiresWhileQueuedBehindSlowRequest) {
   EXPECT_EQ(stats.rejected_deadline, 1u);
 }
 
+/// How a request that should be shed came back.
+struct shed_outcome {
+  bool shed = false;
+  error_code code = error_code::generic;
+  std::uint32_t retry_after_ms = 0;
+};
+
+template <typename Call>
+shed_outcome outcome_of(Call&& call) {
+  try {
+    (void)call();
+  } catch (const service_error& e) {
+    return {true, e.code, e.retry_after_ms};
+  }
+  return {};
+}
+
+TEST(ServeEndToEnd, OnlyRequestsWithWorkTakeAnExecutionSlot) {
+  // One execution slot and no queue.  While a cold c6288 holds the slot, a
+  // repeat that the request memo and the memory tier answer is served, and
+  // every request with work is shed.  The checks only count if the holder
+  // still holds its slot after them; a host slow enough to let c6288 finish
+  // first gets the scenario again on a fresh daemon.
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    server_fixture fx;
+    server_options options;
+    options.socket_path = fx.socket_path();
+    options.threads = 2;
+    options.max_inflight = 1;
+    options.max_queue = 0;
+    fx.start_with(options);
+    client cli(fx.socket_path());
+
+    synth_request c432 = make_request_for_spec("c432");
+    c432.want_verilog = true;
+    c432.want_dot = true;
+    // The flight recorder is process-wide: a fresh id per scenario run.
+    static std::atomic<std::uint64_t> runs{0};
+    c432.trace_hi = 0x5107500000000000ull + runs.fetch_add(1);
+    const auto traced = [&](std::uint64_t lo) {
+      synth_request req = c432;
+      req.trace_lo = lo;
+      return req;
+    };
+    synth_request validate = make_request_for_spec("c432");
+    validate.validate = true;
+
+    // Before the hold.  The memo fills only on the second sighting.
+    const synth_response cold = cli.submit(traced(1));
+    ASSERT_TRUE(cold.ok) << cold.error;
+    EXPECT_EQ(fx.srv->runner().cache_stats().request_entries, 0u);
+    ASSERT_TRUE(cli.submit(traced(2)).ok);
+    EXPECT_EQ(fx.srv->runner().cache_stats().request_entries, 1u);
+    ASSERT_TRUE(cli.submit(validate).ok);
+    ASSERT_TRUE(cli.submit(validate).ok);
+
+    const aig base = load_request_circuit(c432);
+    aig::node_index target = 0;
+    for (aig::node_index n = 0; n < base.size(); ++n) {
+      if (base.is_gate(n)) target = n;
+    }
+    synth_delta_request delta;
+    delta.base = make_request_for_spec("c432");
+    delta.base_content_hash = cold.content_hash;
+    const auto tok = [](const signal sig) {
+      return std::string(sig.is_complemented() ? "!" : "") + "n" +
+             std::to_string(sig.index());
+    };
+    delta.edit_text = "replace n" + std::to_string(target) + " " +
+                      tok(base.fanin0(target)) + " " +
+                      tok(!base.fanin1(target)) + "\n";
+
+    // The hold: c6288's first progress event means it owns the slot.
+    std::atomic<bool> holding{false};
+    synth_response held;
+    std::thread holder([&] {
+      client hc(fx.socket_path());
+      synth_request req = make_request_for_spec("c6288");
+      req.stream_progress = true;
+      held = hc.submit(req,
+                       [&](const progress_event&) { holding.store(true); });
+    });
+    while (!holding.load()) std::this_thread::yield();
+
+    const shed_outcome fresh =
+        outcome_of([&] { return cli.submit(make_request_for_spec("c880")); });
+    const shed_outcome edit =
+        outcome_of([&] { return cli.submit_delta(delta); });
+    const shed_outcome checked =
+        outcome_of([&] { return cli.submit(validate); });
+    synth_response hit;
+    const shed_outcome repeat =
+        outcome_of([&] { return hit = cli.submit(traced(3)); });
+    const bool still_held = fx.srv->stats().inflight == 1;
+    holder.join();
+    ASSERT_TRUE(held.ok) << held.error;
+    if (!still_held) continue;
+
+    // The repeat took no slot and is byte-identical to the cold response.
+    ASSERT_FALSE(repeat.shed) << "memory hit was shed";
+    ASSERT_TRUE(hit.ok) << hit.error;
+    EXPECT_TRUE(hit.served_from_cache);
+    EXPECT_EQ(hit.report, cold.report);
+    EXPECT_EQ(hit.verilog, cold.verilog);
+    EXPECT_EQ(hit.dot, cold.dot);
+    EXPECT_EQ(hit.content_hash, cold.content_hash);
+    EXPECT_FALSE(hit.verilog.empty());
+    EXPECT_FALSE(hit.dot.empty());
+
+    // A never-seen circuit, a delta and a --validate repeat all have work.
+    for (const auto& [what, o] :
+         {std::pair{"c880", fresh}, {"delta", edit}, {"validate", checked}}) {
+      EXPECT_TRUE(o.shed) << what;
+      EXPECT_EQ(o.code, error_code::overloaded) << what;
+      EXPECT_GT(o.retry_after_ms, 0u) << what;
+      EXPECT_LE(o.retry_after_ms, 10000u) << what;
+    }
+    EXPECT_TRUE(cli.ping());
+
+    // Admitted: c432 twice, the --validate c432 twice, and c6288.
+    const server_stats_reply stats = cli.server_stats();
+    EXPECT_EQ(stats.accepted, 5u);
+    EXPECT_EQ(stats.rejected_overload, 3u);
+    EXPECT_EQ(stats.rejected_deadline, 0u);
+    EXPECT_EQ(stats.status.jobs_submitted, 9u);
+    EXPECT_EQ(stats.status.jobs_failed, 3u);
+
+    // The memo hit records no queue_wait; the cold request's queue_wait
+    // lies inside its request_total.
+    const auto spans_of = [&](std::uint64_t lo) {
+      std::map<std::string, std::vector<trace_span>> by_name;
+      for (const auto& sp : cli.trace({c432.trace_hi, lo}).spans) {
+        by_name[sp.name].push_back(sp);
+      }
+      return by_name;
+    };
+    auto hit_spans = spans_of(3);
+    EXPECT_EQ(hit_spans.count("queue_wait"), 0u);
+    EXPECT_EQ(hit_spans["cache.request_hit"].size(), 1u);
+    EXPECT_EQ(hit_spans["serve.render"].size(), 1u);
+    EXPECT_EQ(hit_spans["request_total"].size(), 1u);
+    auto cold_spans = spans_of(1);
+    ASSERT_EQ(cold_spans["queue_wait"].size(), 1u);
+    ASSERT_EQ(cold_spans["request_total"].size(), 1u);
+    const trace_span& wait = cold_spans["queue_wait"][0];
+    const trace_span& total = cold_spans["request_total"][0];
+    EXPECT_GE(wait.start_us, total.start_us);
+    EXPECT_LE(wait.start_us + wait.dur_us, total.start_us + total.dur_us);
+    return;
+  }
+  FAIL() << "the cold c6288 finished before the checks on 3 fresh daemons";
+}
+
 TEST(ServeEndToEnd, ConnectionCapBouncesWithTypedError) {
   server_fixture fx;
   server_options options;
@@ -1511,12 +1664,9 @@ TEST(ServeEndToEnd, TracedSubmitCollectsSpansThatAddUp) {
   EXPECT_GT(stage_sum, 0u);
   EXPECT_LE(stage_sum, total_dur);
   for (const auto& s : reply.spans) {
-    // queue_wait precedes the total; send follows it (the response bytes
-    // leave after the handler's request_total span closed).
-    if (s.name == "queue_wait" || s.name == "request_total" ||
-        s.name == "send") {
-      continue;
-    }
+    // send follows the total: the response bytes leave after the handler's
+    // request_total span closed.  queue_wait lies inside it.
+    if (s.name == "request_total" || s.name == "send") continue;
     EXPECT_GE(s.start_us + s.dur_us, total_start) << s.name;
     EXPECT_LE(s.start_us + s.dur_us, total_start + total_dur) << s.name;
   }
